@@ -4,7 +4,8 @@ complex reciprocal polynomials.
 The public surface, by layer:
 
 * exact: PiScaled, PolyQ, RatFunQ, RatFunPi, LaurentPi, partial_fractions,
-  laurent_mellin -- exact arithmetic with a symbolic pi grade;
+  laurent_mellin, ratfun_from_poles -- exact arithmetic with a symbolic pi
+  grade;
 * polynomials: RecipLaurent, MonicRecip, RootVec and the coefficient maps;
 * measure: find_roots, mahler_from_roots, mahler_quadrature, mu_rec, nu_rec;
 * symfun: elem_sym, epsilon_via_e, vandermonde, jacobian determinants;
@@ -25,6 +26,7 @@ from .exact import (
     partial_fractions,
     ratfun_eval,
     ratfun_eval_exact,
+    ratfun_from_poles,
 )
 from .measure import (
     RootSet,
@@ -119,6 +121,7 @@ __all__ = [
     "partial_fractions",
     "ratfun_eval",
     "ratfun_eval_exact",
+    "ratfun_from_poles",
     "rho",
     "vandermonde",
     "volume_exact",

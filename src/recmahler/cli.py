@@ -19,6 +19,7 @@ malformed arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ import numpy as np
 from . import montecarlo
 from .errors import RecMahlerError
 from .exact import PiScaled, laurent_mellin, ratfun_eval_exact, ratfun_to_lists
-from .measure import mahler_from_roots, mahler_quadrature, find_roots
+from .measure import mahler_quadrature, find_roots
 from .spectral import (
     h_closed,
     h_eval,
@@ -100,7 +101,7 @@ def _cmd_measure(args) -> int:
             text = fh.read()
     coeffs = _parse_coeff_vector(text)
     rs = find_roots(coeffs, args.tol)
-    by_roots = mahler_from_roots(coeffs, args.tol)
+    by_roots = rs.mahler(coeffs[-1])
     by_quad = mahler_quadrature(coeffs, args.nodes)
     rel = abs(by_roots - by_quad) / max(by_roots, by_quad)
     report = {
@@ -351,6 +352,10 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if not args.step > 0:
+        raise ValueError(f"--step must be positive, got {args.step:g}")
+    if args.stop < args.start:
+        raise ValueError(f"--stop {args.stop:g} is below --start {args.start:g}")
     print("xi,h_N")
     xi = args.start
     steps = int(round((args.stop - args.start) / args.step))
@@ -430,8 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -638,32 +638,38 @@ class LaurentPi:
 # partial fractions over distinct integer poles
 
 
-def _trial_factor(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine for the pole products
-    this package produces (constant terms up to around (8!)^2)."""
-    out: dict[int, int] = {}
+def _divisors_upto(n: int, bound: int) -> list[int]:
+    """Positive divisors d <= bound of n > 0, ascending.
+
+    Trial division only runs over primes that some divisor <= bound can
+    hold: once the trial prime passes the bound, whatever is left of n
+    shares no factor with such a divisor.
+    """
+    primes: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= bound:
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            primes[d] = primes.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _divisors(n: int) -> list[int]:
+    if 1 < n <= bound:
+        primes[n] = primes.get(n, 0) + 1
     divs = [1]
-    for p, k in _trial_factor(n).items():
-        divs = [d * p ** i for d in divs for i in range(k + 1)]
+    for p, k in primes.items():
+        divs = [x * p ** i for x in divs for i in range(k + 1) if x * p ** i <= bound]
     return sorted(divs)
 
 
 def _integer_roots(ints: list[int]) -> tuple[dict[int, int], int]:
-    """All integer roots (with multiplicity) of an integer polynomial.
+    """All integer roots (with multiplicity) of a monic integer polynomial
+    that splits over Z.
 
     Returns (roots, remaining_degree) after deflating every integer root.
+    For a split polynomial the roots n_i satisfy sum n_i^2 = e1^2 - 2 e2,
+    read off the two top coefficients, so only divisors of the constant
+    term up to isqrt of that are tried.  A polynomial that does not split
+    may keep some integer roots undetected; its remaining degree is then
+    positive either way.
     """
 
     def eval_at(cs: list[int], x: int) -> int:
@@ -672,31 +678,73 @@ def _integer_roots(ints: list[int]) -> tuple[dict[int, int], int]:
             acc = acc * x + c
         return acc
 
-    def deflate(cs: list[int], x: int) -> list[int]:
-        # synthetic division by (s - x); exact because x is a root
-        out = [0] * (len(cs) - 1)
-        carry = cs[-1]
-        for i in range(len(cs) - 2, -1, -1):
-            out[i] = carry
-            carry = cs[i] + carry * x
-        assert carry == 0
-        return out
-
     roots: dict[int, int] = {}
     work = list(ints)
     while len(work) > 1 and work[0] == 0:
         roots[0] = roots.get(0, 0) + 1
         work = work[1:]
     if len(work) > 1:
-        candidates = set()
-        for d in _divisors(abs(work[0])):
-            candidates.add(d)
-            candidates.add(-d)
-        for cand in sorted(candidates):
-            while len(work) > 1 and eval_at(work, cand) == 0:
-                roots[cand] = roots.get(cand, 0) + 1
-                work = deflate(work, cand)
+        e1 = -work[-2]
+        e2 = work[-3] if len(work) > 2 else 0
+        sum_sq = e1 * e1 - 2 * e2
+        bound = math.isqrt(sum_sq) if sum_sq > 0 else 0
+        for d in _divisors_upto(abs(work[0]), bound):
+            for cand in (-d, d):
+                while len(work) > 1 and eval_at(work, cand) == 0:
+                    roots[cand] = roots.get(cand, 0) + 1
+                    work = _deflate(work, cand)
     return roots, len(work) - 1
+
+
+def _deflate(cs: list[int], x: int) -> list[int]:
+    """Synthetic division of an integer polynomial by (s - x), where x is
+    a root, so the division is exact."""
+    out = [0] * (len(cs) - 1)
+    carry = cs[-1]
+    for i in range(len(cs) - 2, -1, -1):
+        out[i] = carry
+        carry = cs[i] + carry * x
+    assert carry == 0
+    return out
+
+
+def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
+    """Ascending integer coefficients of prod (x - r) over the roots."""
+    out = [1]
+    for r in roots:
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= r * out[i + 1]
+    return out
+
+
+def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFunPi:
+    """pi^pi_power * sum_n r_n / (s - n), built directly in reduced form.
+
+    The denominator is prod (s - n) over the poles with a nonzero residue,
+    in integers; the numerator is sum_n r_n prod_{m != n} (s - m) over a
+    common denominator of the residues.  Distinct simple poles with nonzero
+    residues leave the two coprime (the numerator at n is r_n prod (n - m)),
+    and the denominator is monic, so this is the form RatFunQ.make would
+    reach through gcds.  Zero residues are dropped.
+    """
+    poles = {n: _as_fraction(r) for n, r in residues.items() if r != 0}
+    if not poles:
+        return RatFunPi.zero()
+    den = int_poly_from_roots(poles)
+    common = math.lcm(*(r.denominator for r in poles.values()))
+    num = [0] * (len(den) - 1)
+    for n, r in poles.items():
+        scale = r.numerator * (common // r.denominator)
+        for i, c in enumerate(_deflate(den, n)):
+            num[i] += scale * c
+    return RatFunPi(
+        pi_power,
+        RatFunQ(
+            PolyQ(tuple(Fraction(c, common) for c in num)),
+            PolyQ(tuple(Fraction(c) for c in den)),
+        ),
+    )
 
 
 def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:
@@ -745,11 +793,7 @@ def laurent_mellin(g: LaurentPi) -> RatFunPi:
     for e in g.coeffs:
         if e % 2:
             raise OddExponent(f"exponent {e} is odd")
-    total = RatFunQ.zero()
-    for e, c in g.coeffs.items():
-        n = e // 2
-        total = total + RatFunQ.from_coeffs((c / 2,), (-n, 1))
-    return RatFunPi(g.pi_power, total)
+    return ratfun_from_poles(g.pi_power, {e // 2: c / 2 for e, c in g.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,11 @@ class RootSet:
     roots: np.ndarray
     residual: float
 
+    def mahler(self, leading) -> float:
+        """Mahler measure |leading| * prod max(1, |root|) of the polynomial
+        whose roots these are and whose top coefficient is leading."""
+        return float(abs(leading) * np.prod(np.maximum(1.0, np.abs(self.roots))))
+
 
 def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Evaluate each row polynomial (ascending coeffs) at its row of points."""
@@ -167,8 +172,7 @@ def mahler_from_roots(coeffs, tol: float = 1e-10) -> float:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     if arr.size == 1:
         return float(abs(arr[0]))
-    rs = find_roots(arr, tol)
-    return float(abs(arr[-1]) * np.prod(np.maximum(1.0, np.abs(rs.roots))))
+    return find_roots(arr, tol).mahler(arr[-1])
 
 
 def mahler_quadrature(coeffs, nodes: int = 4096) -> float:

@@ -67,7 +67,8 @@ from .exact import (
     PolyQ,
     RatFunPi,
     RatFunQ,
-    laurent_mellin,
+    int_poly_from_roots,
+    ratfun_from_poles,
 )
 
 
@@ -144,16 +145,22 @@ def c_matrix(n_order: int) -> CMatrix:
     )
 
 
+def _entry_residues(j: int, k: int) -> dict[int, int]:
+    """Residue map of i_entry(J, K) / pi: c_n(J) c_n(K) at s = +n and -n,
+    since 2s/(s^2 - n^2) = 1/(s - n) + 1/(s + n)."""
+    out: dict[int, int] = {}
+    for n in range(1, min(j, k) + 1):
+        w = coeff_c(n, j) * coeff_c(n, k)
+        if w:
+            out[n] = out[-n] = w
+    return out
+
+
 def i_entry(j: int, k: int) -> RatFunPi:
     """Moment i_entry(J, K) = pi * sum_n c_n(J) c_n(K) 2s/(s^2 - n^2)."""
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
-    total = RatFunPi.zero()
-    for n in range(1, min(j, k) + 1):
-        w = coeff_c(n, j) * coeff_c(n, k)
-        if w:
-            total = total + d_term(n) * Fraction(w)
-    return total
+    return ratfun_from_poles(1, _entry_residues(j, k))
 
 
 def i_matrix(n_order: int) -> IMatrix:
@@ -297,20 +304,35 @@ def det_double_sum(matrix):
     return total / math.factorial(n)
 
 
-def h_product(n_order: int) -> RatFunPi:
-    """prod_{n=1}^{N} 2*pi*s/(s^2 - n^2): the closed determinant value."""
+def _power_over_pairs(n_order: int, power: int) -> RatFunPi:
+    """pi^N (2s)^power / prod_{n=1}^{N} (s^2 - n^2) in reduced form.
+
+    The numerator's only root, 0, is no pole and the denominator is monic,
+    so the integer product needs no gcd.
+    """
     if n_order < 1:
         raise IndexOutOfRange("order must be at least 1")
-    total = RatFunPi.one()
-    for n in range(1, n_order + 1):
-        total = total * d_term(n)
-    return total
+    in_sq = int_poly_from_roots(n * n for n in range(1, n_order + 1))
+    den = [0] * (2 * len(in_sq) - 1)
+    den[::2] = in_sq
+    num = [0] * power + [2 ** power]
+    return RatFunPi(
+        n_order,
+        RatFunQ(
+            PolyQ(tuple(Fraction(c) for c in num)),
+            PolyQ(tuple(Fraction(c) for c in den)),
+        ),
+    )
+
+
+def h_product(n_order: int) -> RatFunPi:
+    """prod_{n=1}^{N} 2*pi*s/(s^2 - n^2): the closed determinant value."""
+    return _power_over_pairs(n_order, n_order)
 
 
 def h_hat(n_order: int) -> RatFunPi:
     """Mellin transform of the distribution: H_N(s)/(2s)."""
-    two_s = RatFunPi.from_coeffs(0, (0, 2), (1,))
-    return h_product(n_order) / two_s
+    return _power_over_pairs(n_order, n_order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +473,19 @@ def omega_psi_check(n_order: int) -> RankOneReport:
 
     checks: list[tuple[str, bool, str]] = []
 
-    im = i_matrix(big_n)
+    # Entries are proper with simple poles, so two of them (or two sums of
+    # them) are equal exactly when their residue maps are.
+    entries = [
+        [_entry_residues(j, k) for k in range(1, big_n + 1)]
+        for j in range(1, big_n + 1)
+    ]
     omega_last = [Fraction(cm.rows[big_n - 1][j]) for j in range(big_n)]
     dot = sum((w * p for w, p in zip(omega_last, psi)), Fraction(0))
-    dn = d_term(big_n)
-    ok_rank_one = True
-    for j in range(big_n):
-        lhs = RatFunPi.zero()
-        for k in range(big_n):
-            if psi[k] != 0:
-                lhs = lhs + im.entries[j][k] * psi[k]
-        rhs = dn * (dot * omega_last[j])
-        if lhs != rhs:
-            ok_rank_one = False
-            break
+    ok_rank_one = all(
+        _combine(zip(psi, entries[j]))
+        == _combine([(dot * omega_last[j], _d_residues(big_n))])
+        for j in range(big_n)
+    )
     checks.append(
         (
             "rank-one action",
@@ -473,25 +494,34 @@ def omega_psi_check(n_order: int) -> RankOneReport:
         )
     )
 
-    ok_fact = True
-    for j in range(big_n):
-        for k in range(big_n):
-            acc = RatFunPi.zero()
-            for n in range(big_n):
-                w = cm.rows[n][j] * cm.rows[n][k]
-                if w:
-                    acc = acc + d_term(n + 1) * Fraction(w)
-            if acc != im.entries[j][k]:
-                ok_fact = False
-                break
-        if not ok_fact:
-            break
+    ok_fact = all(
+        _combine(
+            (cm.rows[n][j] * cm.rows[n][k], _d_residues(n + 1)) for n in range(big_n)
+        )
+        == entries[j][k]
+        for j in range(big_n)
+        for k in range(big_n)
+    )
     checks.append(("factorization", ok_fact, "I == C^T D C entry by entry, exact"))
 
     det_c = _fraction_det([[Fraction(v) for v in row] for row in cm.rows])
     checks.append(("unimodular C", det_c == 1, f"det C = {det_c}, expected 1"))
 
     return RankOneReport(big_n, tuple(psi), tuple(checks))
+
+
+def _d_residues(n: int) -> dict[int, int]:
+    """Residue map of d_term(n) / pi."""
+    return {n: 1, -n: 1}
+
+
+def _combine(terms) -> dict:
+    """sum of weight * residue map over (weight, map) pairs, zeros dropped."""
+    out: dict = {}
+    for w, res in terms:
+        for n, r in res.items():
+            out[n] = out.get(n, 0) + w * r
+    return {n: r for n, r in out.items() if r != 0}
 
 
 def _fraction_det(rows: list[list[Fraction]]) -> Fraction:

@@ -1,12 +1,14 @@
 """Command line contract: JSON report layout, exact round trips, exit
 codes, and byte-identical reruns."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from recmahler import measure
 from recmahler.cli import run
 from recmahler.exact import parse_pi_scaled, ratfun_from_lists
 from recmahler.spectral import h_closed, h_eval, h_hat, volume_exact
@@ -66,6 +68,23 @@ def test_measure_failing_check_exits_one(capsys):
     )
     assert code == 1
     assert rep["checks"][0]["status"] == "fail"
+
+
+def test_measure_solves_the_roots_once(capsys, monkeypatch):
+    calls = []
+    solve = measure.aberth_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "aberth_batch", counted)
+    code, rep, _ = invoke_json(capsys, ["measure", "--coeffs", "[1, 2.5, 1]"])
+    assert code == 0
+    assert len(calls) == 1
+    assert rep["numeric_results"]["mahler_from_roots"] == measure.mahler_from_roots(
+        [1, 2.5, 1]
+    )
 
 
 def test_measure_rejects_bad_json(capsys):
@@ -194,8 +213,41 @@ def test_table_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--step", "0"], "--step must be positive"),
+        (["--step", "-0.1"], "--step must be positive"),
+        (["--start", "3", "--stop", "1"], "is below --start"),
+    ],
+)
+def test_table_rejects_empty_or_endless_grids(capsys, bounds, message):
+    code, out, err = invoke(capsys, ["table", "--N", "1"] + bounds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # process behavior
+
+
+# sha256 of the stdout of reports whose bytes are pinned: the exact layer
+# may change how it builds a value, never what the report prints
+GOLDEN = {
+    ("hn", "--N", "12", "--xi", "1.5"): "1283f35d052ea46caca6e5896d2da93594790a6132488017eade39c5362e7a06",
+    ("volume", "--N", "12"): "9fd1ed785637efbe003b3f29c4576e2fd49d229d6a3f57fb18a5bf6eb94227f8",
+    ("verify-det", "--N", "6"): "ca14c01c7bf537116e715f5d66cb4eeca3a0f63e0430fc9eee1598171730dc6f",
+    ("rank-one", "--N", "8"): "329baaee724d076cd646fab6d680c77ea7539dc0e866c71bf71b9e52a7ec6a32",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_exact_reports_match_golden_digests(capsys, argv):
+    code, out, _ = invoke(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
 def test_reports_are_byte_identical(capsys):
@@ -223,3 +275,18 @@ def test_unknown_command_exits_two(capsys):
 def test_missing_required_argument_exits_two(capsys):
     assert run(["hn"]) == 2
     capsys.readouterr()
+
+
+def test_parse_errors_leave_the_parser_reusable(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("[1, 2.5, 1]", encoding="utf-8")
+    both = ["measure", "--coeffs", "[1, 2.5, 1]", "--coeffs-file", str(path)]
+    assert run(both) == 2
+    assert run(["hn"]) == 2
+    capsys.readouterr()
+    code, rep, _ = invoke_json(capsys, ["measure", "--coeffs-file", str(path)])
+    assert code == 0
+    assert rep["inputs"]["nodes"] == 4096
+    code, rep, _ = invoke_json(capsys, ["hn", "--N", "2"])
+    assert code == 0
+    assert rep["inputs"] == {"N": 2, "xi": None}

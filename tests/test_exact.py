@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recmahler.errors import (
@@ -37,6 +37,7 @@ from recmahler.exact import (
     ratfun_eval,
     ratfun_eval_exact,
     ratfun_from_lists,
+    ratfun_from_poles,
     ratfun_to_lists,
 )
 
@@ -314,6 +315,32 @@ def test_partial_fractions_reconstruction(residues):
         f = f + RatFunPi.from_coeffs(3, (r,), (-n, 1))
     out = partial_fractions(f)
     assert out == {n: PiScaled(r, 3) for n, r in residues.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-3, 3),
+    st.dictionaries(keys=st.integers(-8, 8), values=rationals, max_size=6),
+)
+@example(2, {0: F(3, 2), 1: F(0), -4: F(-1, 6)})
+@example(0, {0: F(0)})
+def test_ratfun_from_poles_equals_sum_of_terms(grade, residues):
+    """The direct build equals the gcd-reduced sum of its simple fractions."""
+    total = RatFunPi.zero()
+    for n, r in residues.items():
+        total = total + RatFunPi.from_coeffs(grade, (r,), (-n, 1))
+    assert ratfun_from_poles(grade, residues) == total
+
+
+def test_partial_fractions_huge_integer_poles():
+    """Poles at +-10^15, and at 10^15 alone, where the root bound read off
+    the top coefficients is exactly the root."""
+    big = 10 ** 15
+    res = partial_fractions(RatFunPi.from_coeffs(0, (1,), (-big * big, 0, 1)))
+    assert res == {-big: PiScaled(F(-1, 2 * big)), big: PiScaled(F(1, 2 * big))}
+    assert partial_fractions(RatFunPi.from_coeffs(1, (3,), (-big, 1))) == {
+        big: PiScaled(F(3), 1)
+    }
 
 
 def test_partial_fractions_match_near_pole_limit():

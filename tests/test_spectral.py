@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from recmahler import spectral
 from recmahler.errors import DimensionTooLarge, IndexOutOfRange
 from recmahler.exact import (
     LaurentPi,
@@ -220,12 +221,17 @@ def test_rho_frozen():
 def test_rho_matches_partial_fractions():
     """rho(N, n) is the residue of h_hat at s = n; the mirror pole at -n
     carries the (-1)^N factor."""
-    for n_order in range(1, 7):
+    for n_order in range(1, 31):
         res = partial_fractions(h_hat(n_order))
         assert set(res) == {n for n in range(-n_order, n_order + 1) if n != 0}
         for n in range(1, n_order + 1):
             assert res[n] == rho(n_order, n)
             assert res[-n] == rho(n_order, n) * ((-1) ** n_order)
+
+
+def test_mellin_of_closed_form_is_h_hat_to_order_30():
+    for n_order in range(1, 31):
+        assert laurent_mellin(h_closed(n_order)) == h_hat(n_order)
 
 
 def test_h_closed_frozen():
@@ -285,6 +291,48 @@ def test_omega_psi_small_orders_pass():
 def test_omega_psi_frozen_kernels():
     assert omega_psi_check(2).psi == (F(0), F(1))
     assert omega_psi_check(5).psi == (F(1), F(0), F(-3), F(0), F(1))
+
+
+def test_rank_one_identity_by_rational_functions():
+    """The identities omega_psi_check proves on residue maps, redone with
+    RatFunPi sums over the built moment matrix."""
+    for n in range(2, 7):
+        im = i_matrix(n)
+        cm = c_matrix(n)
+        psi = omega_psi_check(n).psi
+        dot = sum(coeff_c(n, k + 1) * psi[k] for k in range(n))
+        for j in range(n):
+            lhs = RatFunPi.zero()
+            for k in range(n):
+                lhs = lhs + im.entries[j][k] * psi[k]
+            assert lhs == d_term(n) * (dot * coeff_c(n, j + 1))
+            for k in range(n):
+                acc = RatFunPi.zero()
+                for m in range(n):
+                    w = cm.rows[m][j] * cm.rows[m][k]
+                    if w:
+                        acc = acc + d_term(m + 1) * F(w)
+                assert acc == im.entries[j][k]
+
+
+def test_omega_psi_detects_a_wrong_entry(monkeypatch):
+    """A residue map one unit off at I[1][1] must fail both the rank-one
+    and the factorization checks."""
+    true_residues = spectral._entry_residues
+
+    def tampered(j, k):
+        res = dict(true_residues(j, k))
+        if (j, k) == (1, 1):
+            res[1] += 1
+        return res
+
+    monkeypatch.setattr(spectral, "_entry_residues", tampered)
+    verdict = {name: ok for name, ok, _ in omega_psi_check(3).checks}
+    assert verdict == {
+        "rank-one action": False,
+        "factorization": False,
+        "unimodular C": True,
+    }
 
 
 def test_omega_psi_rejects_order_one():
