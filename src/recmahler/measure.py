@@ -16,9 +16,18 @@ independent cross-check.
 Root finding is a simultaneous iteration (Ehrlich-Aberth corrections) over
 all roots at once, started deterministically on a circle whose radius comes
 from the Cauchy coefficient bound, finished with a short Newton polish.
-The kernel is written over a batch axis so the Monte Carlo module can push
-tens of thousands of small polynomials through it per call; the single
-polynomial API is the batch of one.
+The kernel is written over a batch axis; each row stops iterating once its
+own step stagnates, and the single polynomial API is the batch of one.
+
+Reciprocal measures use the paper's pair products instead of the degree-2N
+palindrome: x^N p_v(x) = v_N prod (x^2 + beta_n x + 1), so with
+y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q, and the measure is
+|v_N| prod max(|alpha_n|, 1/|alpha_n|) over the N roots of Q.  mu_rec_batch
+computes it for a batch of coefficient vectors, with closed-form roots for
+N <= 2 and Aberth at degree N up to N = 8, where the monomial basis in y
+still keeps the measure to 1e-14; the Monte Carlo module pushes
+tens of thousands of samples through it per call, and mu_rec / nu_rec are
+its batch of one.
 """
 
 from __future__ import annotations
@@ -33,10 +42,16 @@ from .errors import (
     NodeOnZero,
     ZeroPolynomial,
 )
-from .polynomials import RecipLaurent, MonicRecip, lambda_embed
+from .polynomials import RecipLaurent, MonicRecip
+from .symfun import pair_basis
 
 _MAX_ITER = 160
 _STEP_TOL = 1e-14
+# Q(y) in the monomial basis costs about (1 + sqrt 2)^N of the working
+# precision (its roots crowd the segment [-2, 2]): 7e-15 relative at N = 8,
+# 4e-12 at N = 16, no convergence at N = 30.  Above this order the
+# reciprocal kernel solves the degree-2N palindrome instead.
+_Y_MAX_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,7 @@ def _residual_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def aberth_batch(
-    coeffs: np.ndarray, tol: float = 1e-10, fast_exit: bool = False
+    coeffs: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simultaneous root iteration over a batch of same-degree polynomials.
 
@@ -87,9 +102,7 @@ def aberth_batch(
     fail to reach tol are reported, not raised; the single-polynomial API
     turns that into NoConvergence, the Monte Carlo driver counts it.
 
-    fast_exit stops as soon as the whole batch clears the residual target,
-    which is all an indicator-function consumer needs.  Without it the
-    iteration runs to step stagnation, which keeps grinding on root
+    The iteration runs to step stagnation, which keeps grinding on root
     clusters (linear convergence) and pays off with near-exact multiple
     roots instead of sqrt(tol)-accurate ones.
     """
@@ -105,13 +118,17 @@ def aberth_batch(
     angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4 / deg
     z = radius[:, None] * np.exp(1j * angles)[None, :]
 
+    # rows leave the active set once their own step stagnates, so one slow
+    # row does not keep the whole batch iterating
     eye = np.eye(deg, dtype=bool)
-    for it in range(_MAX_ITER):
-        p = _horner_batch(monic, z)
-        dp = _horner_batch(dcoeffs, z)
+    active = np.arange(batch)
+    za, ma, da = z, monic, dcoeffs
+    for _ in range(_MAX_ITER):
+        p = _horner_batch(ma, za)
+        dp = _horner_batch(da, za)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = p / dp
-            diff = z[:, :, None] - z[:, None, :]
+            diff = za[:, :, None] - za[:, None, :]
             inv = 1.0 / diff
             inv[:, eye] = 0.0
             s = inv.sum(axis=2)
@@ -119,14 +136,16 @@ def aberth_batch(
         bad = ~np.isfinite(delta)
         if bad.any():
             # derivative hit zero or two estimates collided: nudge instead
-            delta[bad] = 0.1 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
-        z = z - delta
-        steps = np.abs(delta) / (1.0 + np.abs(z))
-        if np.max(steps) <= _STEP_TOL:
-            break
-        if fast_exit and it >= 4 and (it & 3) == 0:
-            if np.max(_residual_batch(monic, z)) <= 0.25 * tol:
+            delta[bad] = 0.1 * (1.0 + np.abs(za[bad])) * np.exp(0.7j)
+        za = za - delta
+        going = (np.abs(delta) / (1.0 + np.abs(za))).max(axis=1) > _STEP_TOL
+        n_going = np.count_nonzero(going)
+        if n_going < going.size:
+            if n_going == 0:
                 break
+            z[active] = za
+            active, za, ma, da = active[going], za[going], ma[going], da[going]
+    z[active] = za
 
     # Newton polish
     for _ in range(3):
@@ -154,13 +173,20 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     if arr.size == 1:
         raise ZeroPolynomial("a nonzero constant has no roots")
-    roots, residual, ok = aberth_batch(arr[None, :], tol)
-    if not ok[0]:
-        raise NoConvergence(
-            f"residual {residual[0]:.3e} above tolerance {tol:.1e}"
-        )
-    order = np.lexsort((roots[0].imag, roots[0].real))
-    return RootSet(roots[0][order], float(residual[0]))
+    # x^k divides the polynomial: its k roots are exactly 0, and the
+    # normalized residual, 0/0 at a multiple zero root, is taken on the rest
+    k = 0
+    while arr[k] == 0:
+        k += 1
+    roots, residual = np.zeros(k, dtype=complex), 0.0
+    if arr.size - k > 1:
+        found, res, ok = aberth_batch(arr[None, k:], tol)
+        if not ok[0]:
+            raise NoConvergence(f"residual {res[0]:.3e} above tolerance {tol:.1e}")
+        roots = np.concatenate([roots, found[0]]) if k else found[0]
+        residual = float(res[0])
+    order = np.lexsort((roots.imag, roots.real))
+    return RootSet(roots[order], residual)
 
 
 def mahler_from_roots(coeffs, tol: float = 1e-10) -> float:
@@ -199,28 +225,79 @@ def mahler_quadrature(coeffs, nodes: int = 4096) -> float:
     return float(np.exp(np.mean(np.log(mags))))
 
 
+def _pair_moduli(y: np.ndarray) -> np.ndarray:
+    """max(|x|, 1/|x|) over the roots x of x^2 - y x + 1, elementwise.
+
+    The larger root is (y + s)/2 with s = sqrt(y^2 - 4) on the branch where
+    Re(conj(y) s) >= 0, so y + s has no cancellation.  The two roots
+    multiply to 1, hence the floor at 1 for rounding on the unit circle.
+    """
+    s = np.sqrt(y * y - 4.0)
+    s = np.where((y.conj() * s).real < 0.0, -s, s)
+    return np.maximum(1.0, 0.5 * np.abs(y + s))
+
+
+def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Mahler measures of a batch of reciprocal Laurent polynomials.
+
+    v: (B, N+1) complex rows (v_0, ..., v_N).  Returns (measures, converged).
+
+    With y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q whose
+    coefficients come from symfun.pair_basis: Q = v_N prod (y + beta_n),
+    and each root y = -beta_n carries the root pair of x^2 - y x + 1, which
+    contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots are
+    closed form for N <= 2 (the quadratic in cancellation-free form) and
+    come from aberth_batch at degree N up to N = 8; above that the
+    degree-2N palindrome x^N p_v is solved instead (see _Y_MAX_ORDER).
+    A row that fails the root solve or gives a non-finite measure, as one
+    with v_N = 0 does, reports inf and converged False.
+    """
+    v = np.asarray(v, dtype=complex)
+    n = v.shape[1] - 1
+    ok = np.ones(v.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n > _Y_MAX_ORDER:
+            x, _, ok = aberth_batch(np.concatenate([v[:, :0:-1], v], axis=1), tol)
+            moduli = np.maximum(1.0, np.abs(x))
+        else:
+            q = v @ pair_basis(n)
+            if n == 1:
+                y = -q[:, :1] / q[:, 1:]
+            elif n == 2:
+                a, b, c = q[:, 2], q[:, 1], q[:, 0]
+                d = np.sqrt(b * b - 4.0 * a * c)
+                d = np.where((b.conj() * d).real < 0.0, -d, d)
+                t = -0.5 * (b + d)
+                # t = 0 only for b = c = 0: a double root at 0
+                y = np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1)
+            else:
+                y, _, ok = aberth_batch(q, tol)
+            moduli = _pair_moduli(y)
+        meas = np.abs(v[:, -1]) * np.prod(moduli, axis=1)
+    ok &= np.isfinite(meas)
+    return np.where(ok, meas, np.inf), ok
+
+
 def mu_rec(p: RecipLaurent | np.ndarray, tol: float = 1e-10) -> float:
     """Mahler measure of a reciprocal Laurent polynomial.
 
-    Works on the palindromic embedding x^N p_v; zero coefficients at the
-    top of v only shift the embedding by powers of x, which have measure 1,
-    so both ends of the palindrome are trimmed before the root call.
+    Zero coefficients at the top of v only shift the palindromic embedding
+    x^N p_v by powers of x, which have measure 1, so they are trimmed before
+    the call to mu_rec_batch, as a batch of one.
     """
-    if not isinstance(p, RecipLaurent):
-        arr = np.asarray(p, dtype=complex)
-        if arr.size >= 1 and not np.any(arr != 0):
-            return 0.0
-        if arr.size == 1:
-            return float(abs(arr[0]))
-        p = RecipLaurent(arr)
-    emb = lambda_embed(p)
-    nz = np.nonzero(emb)[0]
+    v = p.v if isinstance(p, RecipLaurent) else np.asarray(p, dtype=complex)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("v must be a non-empty one-dimensional vector")
+    nz = np.nonzero(v)[0]
     if nz.size == 0:
         return 0.0
-    emb = emb[nz[0] : nz[-1] + 1]
-    if emb.size == 1:
-        return float(abs(emb[0]))
-    return mahler_from_roots(emb, tol)
+    v = v[: nz[-1] + 1]
+    if v.size == 1:
+        return float(abs(v[0]))
+    meas, ok = mu_rec_batch(v[None, :], tol)
+    if not ok[0]:
+        raise NoConvergence(f"no finite measure at tolerance {tol:.1e}")
+    return float(meas[0])
 
 
 def nu_rec(b: MonicRecip | np.ndarray, tol: float = 1e-10) -> float:

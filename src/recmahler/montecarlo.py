@@ -8,27 +8,33 @@ every k-subset product is at most prod max(1, |root|)).  The indicator of
 {nu_rec <= xi} integrated over that region times the region volume is the
 distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
+Each sampled vector v = (v_0, ..., v_N) goes straight to
+measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
+roots for N <= 2, a degree-N root solve above.
 
 Reproducibility: draws come from the Philox counter-based generator, keyed
 by the user seed with the chunk index placed in the counter's top word.
 Samples are processed in fixed-size chunks of 2^16 regardless of worker
 count, so estimates are bit-identical for any --workers value; worker
-threads only change wall-clock time.  Chunk tallies are integers, which
-makes the reduction order immaterial.
+threads, at most one per chunk and per CPU, only change wall-clock time.
+Chunk tallies are integers, which makes the reduction order immaterial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence
-from .measure import aberth_batch
+from .measure import mu_rec_batch
 
 CHUNK = 1 << 16
+# residual target of the degree-N root solve for N >= 3
+_ROOT_TOL = 1e-9
 _REJECTION_CAP = 1e-6
 
 
@@ -83,30 +89,21 @@ def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray) -> np
     return radii[None, :] * np.sqrt(u) * np.exp(2j * np.pi * w)
 
 
-def _measures_batch(coeffs: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Mahler measures of a batch of same-degree polynomials.
-
-    Returns (measures, converged).  Unconverged rows report measure inf so
-    they can never be counted as hits by accident.
-    """
-    roots, _, ok = aberth_batch(coeffs, tol, fast_exit=True)
-    meas = np.abs(coeffs[:, -1]) * np.prod(np.maximum(1.0, np.abs(roots)), axis=1)
-    meas = np.where(ok, meas, np.inf)
-    return meas, ok
-
-
 def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):
     """Map chunk_fn(gen, count) over fixed chunks, reduce integer tallies."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n_chunks = (samples + CHUNK - 1) // CHUNK
+    threads = min(workers, n_chunks, os.cpu_count() or 1)
 
     def work(ci: int) -> tuple[int, int]:
         count = min(CHUNK, samples - ci * CHUNK)
         return chunk_fn(_chunk_generator(seed, ci), count)
 
-    if workers <= 1:
+    if threads == 1:
         tallies = [work(ci) for ci in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             tallies = list(pool.map(work, range(n_chunks)))
     hits = sum(t[0] for t in tallies)
     rejections = sum(t[1] for t in tallies)
@@ -143,18 +140,11 @@ def mc_hN(
         raise ValueError("at least 10^4 samples required")
     radii = bounding_radii(n_order, xi)
     volume = float(np.prod(np.pi * radii ** 2))
-    n = n_order
 
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
         b = _sample_disks(gen, count, radii)
-        coeffs = np.zeros((count, 2 * n + 1), dtype=complex)
-        coeffs[:, 0] = 1.0
-        coeffs[:, 2 * n] = 1.0
-        coeffs[:, n] = b[:, 0]
-        for m in range(1, n):
-            coeffs[:, n + m] = b[:, m]
-            coeffs[:, n - m] = b[:, m]
-        meas, ok = _measures_batch(coeffs)
+        v = np.concatenate([b, np.ones((count, 1), dtype=complex)], axis=1)
+        meas, ok = mu_rec_batch(v, _ROOT_TOL)
         return int(np.count_nonzero(meas <= xi)), int(np.count_nonzero(~ok))
 
     hits, rejections = _run_chunks(samples, seed, workers, chunk)
@@ -172,21 +162,11 @@ def mc_volume(
         raise ValueError("at least 10^4 samples required")
     radii = _volume_radii(n_order)
     volume = float(np.prod(np.pi * radii ** 2))
-    n = n_order
 
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
-        v = _sample_disks(gen, count, radii)
-        coeffs = np.zeros((count, 2 * n + 1), dtype=complex)
-        coeffs[:, n] = v[:, 0]
-        for m in range(1, n + 1):
-            coeffs[:, n + m] = v[:, m]
-            coeffs[:, n - m] = v[:, m]
-        # a leading coefficient of exactly 0 has probability 0; perturb the
-        # impossible case rather than crash the whole chunk
-        zero_lead = coeffs[:, -1] == 0
-        if np.any(zero_lead):
-            coeffs[zero_lead, -1] = 1e-300
-        meas, ok = _measures_batch(coeffs)
+        # a leading coefficient of exactly 0 (probability 0) scores as a
+        # rejection: the kernel reports its measure as not finite
+        meas, ok = mu_rec_batch(_sample_disks(gen, count, radii), _ROOT_TOL)
         return int(np.count_nonzero(meas <= 1.0)), int(np.count_nonzero(~ok))
 
     hits, rejections = _run_chunks(samples, seed, workers, chunk)

@@ -84,6 +84,32 @@ def epsilon_via_e(n_order: int, n: int, beta: Sequence):
     return acc
 
 
+def pair_basis(n_order: int) -> np.ndarray:
+    """Integer matrix taking (v_0, ..., v_N) to the coefficients of p_v in y.
+
+    Row m holds the ascending coefficients, in y = x + 1/x, of x^m + x^{-m}
+    (row 0: the constant 1), built by V_1 = y, V_2 = y^2 - 2 and
+    V_{m+1} = y V_m - V_{m-1}.  So q = v @ pair_basis(N) gives
+    p_v(x) = sum_k q_k y^k, and for the monic form sum_k q_k y^k =
+    prod (y + beta_n).  This inverts the unitriangular map of
+    epsilon_via_e, which sends q_k = e_{N-k}(beta) to v_m = eps_{N-m}.
+    """
+    if n_order < 1:
+        raise ValueError("order must be at least 1")
+    rows = [[1], [0, 1]]
+    prev, cur = [2], [0, 1]
+    for _ in range(n_order - 1):
+        nxt = [0] + cur
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+        rows.append(cur)
+    out = np.zeros((n_order + 1, n_order + 1), dtype=np.int64)
+    for m, row in enumerate(rows):
+        out[m, : len(row)] = row
+    return out
+
+
 def vandermonde(beta: Sequence):
     """prod_{m < n} (beta_n - beta_m); 1 for a single value."""
     acc = 1

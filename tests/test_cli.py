@@ -87,6 +87,13 @@ def test_measure_solves_the_roots_once(capsys, monkeypatch):
     )
 
 
+def test_measure_of_a_monomial(capsys):
+    code, rep, _ = invoke_json(capsys, ["measure", "--coeffs", "[0,0,1]"])
+    assert code == 0
+    assert rep["numeric_results"]["mahler_from_roots"] == 1.0
+    assert rep["numeric_results"]["mahler_quadrature"] == 1.0
+
+
 def test_measure_rejects_bad_json(capsys):
     code, out, err = invoke(capsys, ["measure", "--coeffs", "not json"])
     assert code == 2
@@ -187,6 +194,34 @@ def test_mc_subcommand(capsys):
     assert code == 0
     assert abs(rep["numeric_results"]["z_score"]) <= 3.0
     assert rep["numeric_results"]["estimate"]["samples"] == 50000
+
+
+def _no_constants(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_mc_without_hits_reports_valid_json(capsys):
+    code, out, _ = invoke(
+        capsys,
+        ["mc", "--mode", "hn", "--N", "3", "--xi", "1.5", "--samples", "16384", "--seed", "0"],
+    )
+    rep = json.loads(out, parse_constant=_no_constants)
+    assert code == 1
+    assert rep["numeric_results"]["estimate"]["mean"] == 0.0
+    assert rep["numeric_results"]["z_score"] is None
+    check = rep["checks"][0]
+    assert check["status"] == "fail"
+    assert "no sample hit the target set" in check["detail"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_mc_rejects_workers_below_one(capsys, workers):
+    code, out, err = invoke(
+        capsys, ["mc", "--mode", "volume", "--N", "1", "--workers", workers]
+    )
+    assert code == 2
+    assert out == ""
+    assert "workers" in err
 
 
 def test_mc_requires_xi_in_hn_mode(capsys):

@@ -15,6 +15,7 @@ from recmahler.measure import (
     mahler_from_roots,
     mahler_quadrature,
     mu_rec,
+    mu_rec_batch,
     nu_rec,
 )
 from recmahler.polynomials import lambda_embed, RecipLaurent
@@ -74,15 +75,37 @@ def test_aberth_batch_handles_mixed_rows():
     assert float(residual.max()) <= 1e-10
 
 
-def test_aberth_fast_exit_matches_polished_roots():
+def test_aberth_batch_rows_match_batches_of_one():
+    """Each row stops iterating when its own step stagnates, so a row's
+    roots do not depend on the rows solved beside it."""
     rng = np.random.default_rng(23)
-    coeffs = np.stack([random_poly(rng, 5) for _ in range(16)])
-    slow, _, ok1 = aberth_batch(coeffs, tol=1e-10)
-    fast, _, ok2 = aberth_batch(coeffs, tol=1e-10, fast_exit=True)
-    assert bool(np.all(ok1)) and bool(np.all(ok2))
-    slow_sorted = np.sort_complex(slow)
-    fast_sorted = np.sort_complex(fast)
-    assert np.max(np.abs(slow_sorted - fast_sorted)) <= 1e-7
+    for degree in (3, 5, 9):
+        coeffs = np.stack([random_poly(rng, degree) for _ in range(16)])
+        # a root cluster converges linearly and iterates far longer
+        coeffs[7] = np.poly([1.0] * 3 + [2.0] * (degree - 3))[::-1]
+        roots, residual, ok = aberth_batch(coeffs)
+        for i in range(16):
+            one_roots, one_residual, one_ok = aberth_batch(coeffs[i : i + 1])
+            assert np.array_equal(one_roots[0], roots[i])
+            assert one_residual[0] == residual[i] and one_ok[0] == ok[i]
+
+
+def test_find_roots_strips_zero_roots():
+    rs = find_roots([0, 0, 1])
+    assert np.array_equal(rs.roots, np.zeros(2, dtype=complex))
+    assert rs.residual == 0.0
+    # x^3 (2 - 3x): three exact zeros and 2/3, in (real, imag) order
+    rs = find_roots([0, 0, 0, 2, -3])
+    assert np.array_equal(rs.roots[:3], np.zeros(3, dtype=complex))
+    assert rs.roots[3] == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert rs.residual <= 1e-10
+    rs = find_roots([0, -1, 0, 1])  # x (x^2 - 1)
+    assert np.allclose(rs.roots, [-1.0, 0.0, 1.0], atol=1e-14)
+
+
+def test_mahler_from_roots_with_zero_roots():
+    assert mahler_from_roots([0, 0, 1]) == 1.0
+    assert mahler_from_roots([0, 0, 0, 2, -3]) == pytest.approx(3.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +211,83 @@ def test_nu_rec_never_below_one():
         n = int(rng.integers(1, 7))
         b = 3.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         assert nu_rec(b) >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched reciprocal kernel in y = x + 1/x
+
+
+def full_degree_measures(v):
+    return np.array([mahler_from_roots(lambda_embed(RecipLaurent(row))) for row in v])
+
+
+@pytest.mark.parametrize("n_order", [1, 2, 3, 4])
+@pytest.mark.parametrize("monic", [True, False])
+def test_mu_rec_batch_matches_full_degree_route(n_order, monic):
+    rng = np.random.default_rng(40 + n_order)
+    v = 3.0 * (rng.normal(size=(64, n_order + 1)) + 1j * rng.normal(size=(64, n_order + 1)))
+    if monic:
+        v[:, -1] = 1.0
+    meas, ok = mu_rec_batch(v)
+    assert bool(np.all(ok))
+    assert np.allclose(meas, full_degree_measures(v), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("n_order", [8, 9, 30, 40])
+def test_mu_rec_batch_keeps_accuracy_at_high_order(n_order):
+    """Q(y) in the monomial basis is ill-conditioned at high N, so the
+    kernel keeps to the full-degree palindrome there."""
+    rng = np.random.default_rng(50 + n_order)
+    v = rng.normal(size=(8, n_order + 1)) + 1j * rng.normal(size=(8, n_order + 1))
+    meas, ok = mu_rec_batch(v)
+    assert bool(np.all(ok))
+    assert np.allclose(meas, full_degree_measures(v), rtol=1e-12, atol=0.0)
+
+
+def from_y_roots(lead, ys):
+    """(v_0, ..., v_N) with x^N p_v = lead * prod (x^2 - y x + 1), and its
+    measure |lead| * prod max(|x|, 1/|x|) from the quadratics' roots."""
+    pal = np.array([lead], dtype=complex)
+    meas = abs(lead)
+    for y in ys:
+        pal = np.convolve(pal, [1.0, -y, 1.0])
+        meas *= max(1.0, float(np.max(np.abs(np.roots([1.0, -y, 1.0])))))
+    return pal[len(ys) :], meas
+
+
+@pytest.mark.parametrize(
+    "lead, ys",
+    [
+        (1.0, [1.3]),  # roots on the unit circle
+        (2.0, [-2.0, 0.7]),
+        (1.5j, [2.0, -1.9, 0.0]),
+        (1.0, [0.0]),  # x^2 + 1
+        (1.0, [0.0, 0.0]),  # (x^2 + 1)^2: b = c = 0 in the quadratic
+        # repeated y; the closed-form quadratic keeps full accuracy there,
+        # while a double root of a degree-3 Q from Aberth (like the double
+        # roots of the full-degree route) is good to about 1e-8
+        (0.5, [3.0, 3.0]),
+        (1.0, [1.0 + 2j, 1.0 + 2j]),
+        (1e-7, [1.0 + 2j, -3e4]),  # small leading coefficient
+        (1e-6, [4.0, -2e3, 0.5j]),
+    ],
+)
+def test_mu_rec_batch_edge_cases(lead, ys):
+    # the reference is the closed form: the full-degree route loses about
+    # half the digits at repeated roots on the circle, (x^2 + 1)^2 among them
+    v, expect = from_y_roots(lead, ys)
+    meas, ok = mu_rec_batch(v[None, :])
+    assert bool(ok[0])
+    assert meas[0] == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_order", [1, 2, 3])
+def test_mu_rec_batch_reports_unsolvable_rows(n_order):
+    v = np.ones((4, n_order + 1), dtype=complex)
+    v[0, 0] = np.nan
+    v[1, -1] = 0.0  # no degree-N polynomial in y
+    v[2, :] = 0.0
+    meas, ok = mu_rec_batch(v)
+    assert list(ok) == [False, False, False, True]
+    assert list(meas[:3]) == [np.inf] * 3
+    assert meas[3] == pytest.approx(mu_rec(v[3]), rel=1e-15)

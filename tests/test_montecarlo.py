@@ -2,15 +2,17 @@
 error accounting, and agreement with the closed forms."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from recmahler import montecarlo
+from recmahler.measure import mu_rec_batch
 from recmahler.montecarlo import (
     CHUNK,
     MCEstimate,
     _chunk_generator,
-    _measures_batch,
     _sample_disks,
     bounding_radii,
     mc_hN,
@@ -54,6 +56,62 @@ def test_same_seed_same_estimate_any_worker_count():
     c = mc_volume(2, 70_000, seed=3, workers=1)
     d = mc_volume(2, 70_000, seed=3, workers=3)
     assert c == d
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records its size, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(i) for i in items]
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    serial = mc_volume(1, 5 * CHUNK, seed=4, workers=1)
+    for workers in (2, 3, 100_000):
+        assert mc_volume(1, 5 * CHUNK, seed=4, workers=workers) == serial
+    # a single chunk runs serially, whatever the worker count
+    assert mc_volume(1, CHUNK, seed=4, workers=100_000) == mc_volume(1, CHUNK, seed=4)
+    cores = os.cpu_count() or 1
+    expect = [min(w, 5, cores) for w in (2, 3, 100_000)]
+    assert _RecordingPool.sizes == [size for size in expect if size > 1]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        mc_hN(1, 1.5, 10_000, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        mc_volume(1, 10_000, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "run, mean, std_error",
+    [
+        (lambda: mc_hN(1, 1.5, 1 << 16, seed=1), 5.701375156474335, 0.04431431984118563),
+        (lambda: mc_hN(2, 1.5, 1 << 16, seed=1), 13.613475943616844, 2.444474107720705),
+        (lambda: mc_volume(1, 1 << 16, seed=1), 6.660055313625729, 0.057750720284186194),
+        (lambda: mc_volume(2, 1 << 17, seed=1), 10.219353886329287, 1.1796916860308262),
+    ],
+)
+def test_estimates_match_golden_values(run, mean, std_error):
+    """Pinned (mean, std_error) pairs, taken when every measure came from a
+    full-degree root solve of the palindrome: the y = x + 1/x kernel moves
+    no sample across the hit boundary."""
+    est = run()
+    assert (est.mean, est.std_error, est.rejections) == (mean, std_error, 0)
 
 
 def test_different_seeds_differ():
@@ -113,14 +171,8 @@ def test_containment_of_sublevel_set():
             count = min(CHUNK, samples - ci * CHUNK)
             gen = _chunk_generator(9000 + n_order, ci)
             b = _sample_disks(gen, count, inflated)
-            coeffs = np.zeros((count, 2 * n_order + 1), dtype=complex)
-            coeffs[:, 0] = 1.0
-            coeffs[:, 2 * n_order] = 1.0
-            coeffs[:, n_order] = b[:, 0]
-            for m in range(1, n_order):
-                coeffs[:, n_order + m] = b[:, m]
-                coeffs[:, n_order - m] = b[:, m]
-            meas, _ = _measures_batch(coeffs)
+            v = np.concatenate([b, np.ones((count, 1), dtype=complex)], axis=1)
+            meas, _ = mu_rec_batch(v, 1e-9)
             hits = meas <= xi
             inside = np.abs(b[hits]) <= nominal[None, :] + 1e-6
             assert bool(np.all(inside))

@@ -15,6 +15,7 @@ from recmahler.symfun import (
     jacobian_complex_det,
     jacobian_real_factor,
     numeric_jacobian,
+    pair_basis,
     vandermonde,
 )
 
@@ -103,6 +104,34 @@ def test_epsilon_unitriangular_in_e():
             for m in range(1, n // 2 + 1)
         )
         assert epsilon_via_e(4, n, beta) == elem_sym(beta, n) + correction
+
+
+def test_pair_basis_inverts_epsilon():
+    """(eps_N, ..., eps_0) @ pair_basis(N) gives the coefficients e_{N-k}(beta)
+    of prod (y + beta_n), exactly over Q, for every N up to 8."""
+    rng = random.Random(32)
+    for big_n in range(1, 9):
+        for _ in range(3):
+            beta = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(big_n)]
+            v = [epsilon_via_e(big_n, big_n - m, beta) for m in range(big_n + 1)]
+            basis = pair_basis(big_n)
+            q = [
+                sum(v[m] * int(basis[m, k]) for m in range(big_n + 1))
+                for k in range(big_n + 1)
+            ]
+            assert q == [elem_sym(beta, big_n - k) for k in range(big_n + 1)]
+
+
+def test_pair_basis_rows():
+    assert pair_basis(4).tolist() == [
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [-2, 0, 1, 0, 0],
+        [0, -3, 0, 1, 0],
+        [2, 0, -4, 0, 1],
+    ]
+    with pytest.raises(ValueError):
+        pair_basis(0)
 
 
 # ---------------------------------------------------------------------------
