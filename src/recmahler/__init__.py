@@ -9,8 +9,8 @@ The public surface, by layer:
 * polynomials: RecipLaurent, MonicRecip, RootVec and the coefficient maps;
 * measure: find_roots, mahler_from_roots, mahler_quadrature, mu_rec, nu_rec;
 * symfun: elem_sym, epsilon_via_e, vandermonde, jacobian determinants;
-* spectral: moment matrix, exact determinant identity, residues rho, the
-  closed distribution h_N, star body volume;
+* spectral: moment matrix, exact determinant identity (elimination in pole
+  form), residues rho, the closed distribution h_N, star body volume;
 * montecarlo: mc_hN, mc_volume sampling cross-checks.
 """
 
@@ -51,6 +51,7 @@ from .spectral import (
     coeff_c,
     det_double_sum,
     det_ratfun,
+    det_residue_maps,
     h_closed,
     h_eval,
     h_hat,
@@ -59,6 +60,7 @@ from .spectral import (
     hJK_quadrature,
     i_entry,
     i_matrix,
+    i_residue_maps,
     omega_psi_check,
     rho,
     volume_exact,
@@ -90,6 +92,7 @@ __all__ = [
     "coeff_c",
     "det_double_sum",
     "det_ratfun",
+    "det_residue_maps",
     "e_map",
     "elem_sym",
     "epsilon_via_e",
@@ -104,6 +107,7 @@ __all__ = [
     "hJK_quadrature",
     "i_entry",
     "i_matrix",
+    "i_residue_maps",
     "jacobian_complex_det",
     "jacobian_real_factor",
     "lambda_embed",

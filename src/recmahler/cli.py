@@ -13,7 +13,11 @@ are byte-identical: nothing in here depends on time, machine, or dict
 iteration happenstance.
 
 Exit status: 0 when every check passed, 1 when any check failed, 2 for
-malformed arguments.
+malformed arguments (an order N above its subcommand's cap in N_CAPS among
+them), 3 when a computation on valid input failed (a root solve that did not
+converge, a quadrature node on a zero of the integrand, an elimination step
+that would leave pole form).  Exits 2 and 3 print one `error:` line to
+stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import montecarlo
-from .errors import RecMahlerError
+from .errors import ComputationFailed, RecMahlerError
 from .exact import PiScaled, laurent_mellin, ratfun_eval_exact, ratfun_to_lists
 from .measure import mahler_quadrature, find_roots
 from .spectral import (
@@ -37,8 +41,8 @@ from .spectral import (
     h_product,
     hJK_closed,
     hJK_quadrature,
-    i_matrix,
-    det_ratfun,
+    det_residue_maps,
+    i_residue_maps,
     omega_psi_check,
     volume_exact,
 )
@@ -184,14 +188,15 @@ def _cmd_volume(args) -> int:
 
 def _cmd_verify_det(args) -> int:
     n = args.N
-    det = det_ratfun(i_matrix(n))
+    det = det_residue_maps(i_residue_maps(n))
     prod = h_product(n)
+    det_lists = ratfun_to_lists(det)
     report = {
         "command": "verify-det",
         "inputs": {"N": n},
         "exact_results": {
-            "determinant": ratfun_to_lists(det),
-            "product_form": ratfun_to_lists(prod),
+            "determinant": det_lists,
+            "product_form": det_lists if det == prod else ratfun_to_lists(prod),
         },
         "numeric_results": {},
         "checks": [
@@ -372,6 +377,12 @@ class _Usage(Exception):
     pass
 
 
+# Largest order N each exact subcommand accepts, so that every accepted N
+# finishes in seconds (about 1 s at the cap on 2 cores); volume's float
+# value overflows at N = 618.
+N_CAPS = {"hn": 200, "volume": 500, "verify-det": 100, "rank-one": 64}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="recmahler",
@@ -451,11 +462,17 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        cap = N_CAPS.get(args.command)
+        if cap is not None and args.N > cap:
+            raise ValueError(f"--N {args.N} is above the cap of {cap} for {args.command}")
         return args.fn(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
+    except ComputationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, json.JSONDecodeError, RecMahlerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

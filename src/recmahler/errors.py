@@ -54,12 +54,21 @@ class DegenerateLeadingCoefficient(RecMahlerError):
     """Root finding on a coefficient vector whose leading entry is zero."""
 
 
-class NoConvergence(RecMahlerError):
+class ComputationFailed(RecMahlerError):
+    """A computation on valid input that could not produce its result."""
+
+
+class NoConvergence(ComputationFailed):
     """An iterative routine failed to reach its tolerance in the step budget."""
 
 
-class NodeOnZero(RecMahlerError):
+class NodeOnZero(ComputationFailed):
     """Log-integral quadrature hit an exact zero of the integrand."""
+
+
+class NonConstantMultiplier(ComputationFailed):
+    """Pole-form elimination met a row entry that is not a constant multiple
+    of the pivot, so the row update would leave pole form."""
 
 
 class StepTooLarge(RecMahlerError):

@@ -672,12 +672,6 @@ def _integer_roots(ints: list[int]) -> tuple[dict[int, int], int]:
     positive either way.
     """
 
-    def eval_at(cs: list[int], x: int) -> int:
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     roots: dict[int, int] = {}
     work = list(ints)
     while len(work) > 1 and work[0] == 0:
@@ -690,10 +684,18 @@ def _integer_roots(ints: list[int]) -> tuple[dict[int, int], int]:
         bound = math.isqrt(sum_sq) if sum_sq > 0 else 0
         for d in _divisors_upto(abs(work[0]), bound):
             for cand in (-d, d):
-                while len(work) > 1 and eval_at(work, cand) == 0:
+                while len(work) > 1 and _eval_int(work, cand) == 0:
                     roots[cand] = roots.get(cand, 0) + 1
                     work = _deflate(work, cand)
     return roots, len(work) - 1
+
+
+def _eval_int(cs: list[int], x: int) -> int:
+    """Value of an integer polynomial (ascending coefficients) at x."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def _deflate(cs: list[int], x: int) -> list[int]:
@@ -718,6 +720,47 @@ def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
     return out
 
 
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _pole_form(poles: Mapping[int, Fraction]) -> tuple[list[int], int, list[int]]:
+    """Integers (num, common, den) with sum_n r_n / (s - n) equal to
+    num / (common * den), for a nonempty map of nonzero residues.
+
+    den is prod (s - n) over the poles, common the lcm of the residues'
+    denominators, and num = sum_n common r_n prod_{m != n} (s - m).
+    """
+    den = int_poly_from_roots(poles)
+    common = math.lcm(*(r.denominator for r in poles.values()))
+    num = [0] * (len(den) - 1)
+    for n, r in poles.items():
+        scale = r.numerator * (common // r.denominator)
+        for i, c in enumerate(_deflate(den, n)):
+            num[i] += scale * c
+    return num, common, den
+
+
+def _nonzero_residues(residues: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    return {n: _as_fraction(r) for n, r in residues.items() if r != 0}
+
+
+def _ratfun_from_ints(pi_power: int, num: list[int], common: int, den: list[int]) -> RatFunPi:
+    return RatFunPi(
+        pi_power,
+        RatFunQ(
+            PolyQ(tuple(Fraction(c, common) for c in num)),
+            PolyQ(tuple(Fraction(c) for c in den)),
+        ),
+    )
+
+
 def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFunPi:
     """pi^pi_power * sum_n r_n / (s - n), built directly in reduced form.
 
@@ -728,23 +771,44 @@ def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFun
     and the denominator is monic, so this is the form RatFunQ.make would
     reach through gcds.  Zero residues are dropped.
     """
-    poles = {n: _as_fraction(r) for n, r in residues.items() if r != 0}
+    poles = _nonzero_residues(residues)
     if not poles:
         return RatFunPi.zero()
-    den = int_poly_from_roots(poles)
-    common = math.lcm(*(r.denominator for r in poles.values()))
-    num = [0] * (len(den) - 1)
-    for n, r in poles.items():
-        scale = r.numerator * (common // r.denominator)
-        for i, c in enumerate(_deflate(den, n)):
-            num[i] += scale * c
-    return RatFunPi(
-        pi_power,
-        RatFunQ(
-            PolyQ(tuple(Fraction(c, common) for c in num)),
-            PolyQ(tuple(Fraction(c) for c in den)),
-        ),
-    )
+    return _ratfun_from_ints(pi_power, *_pole_form(poles))
+
+
+def ratfun_product_from_poles(
+    pi_power: int, factors: Iterable[Mapping[int, Fraction]]
+) -> RatFunPi:
+    """pi^pi_power * prod_k sum_n r_kn / (s - n), in reduced form, no gcd.
+
+    Each factor's integer numerator and denominator come from its poles as
+    in ratfun_from_poles, and the products are taken in integers.  Every
+    root of the product denominator is a known integer pole, so a common
+    factor of the two products can only be (s - n) at such a pole: dividing
+    both by it (synthetic division) while the numerator vanishes there, up
+    to the pole's multiplicity, leaves them coprime.  A factor with no
+    nonzero residue makes the product zero.
+    """
+    num, common, den = [1], 1, [1]
+    multiplicity: dict[int, int] = {}
+    for residues in factors:
+        poles = _nonzero_residues(residues)
+        if not poles:
+            return RatFunPi.zero()
+        f_num, f_common, f_den = _pole_form(poles)
+        num = _int_poly_mul(num, f_num)
+        den = _int_poly_mul(den, f_den)
+        common *= f_common
+        for n in poles:
+            multiplicity[n] = multiplicity.get(n, 0) + 1
+    for n, k in multiplicity.items():
+        for _ in range(k):
+            if _eval_int(num, n) != 0:
+                break
+            num = _deflate(num, n)
+            den = _deflate(den, n)
+    return _ratfun_from_ints(pi_power, num, common, den)
 
 
 def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:

@@ -17,9 +17,11 @@ The central objects, all exact:
   grade of pi.
 
 * det of the N x N moment matrix equals prod_{n<=N} 2*pi*s/(s^2 - n^2)
-  exactly; h_product builds that product, det_ratfun recomputes the left
-  side by exact elimination, and the acceptance suite holds them equal
-  for N up to 8.
+  exactly; h_product builds that product, and det_residue_maps recomputes
+  the left side by elimination on the entries' residue maps (pole form),
+  with no gcd.  det_ratfun, elimination over general RatFunPi entries, and
+  det_double_sum, a permutation-sum oracle, are the references it is
+  tested against; the acceptance suite holds the identity for N up to 8.
 
 * rho(N, n): residue of the Mellin transform hhat_N = H_N/(2s) at s = n,
 
@@ -43,7 +45,10 @@ with C the unitriangular integer matrix of c_n(J) and D the diagonal of
 2*pi*s/(s^2 - n^2).  The last diagonal entry is also reachable through a
 rank-one identity: any exact kernel vector psi of the first N-1 rows of C
 satisfies I psi = d_N (omega_N . psi) omega_N, and omega_psi_check verifies
-that, the factorization, and det C = 1 in exact arithmetic.
+that, the factorization, and det C = 1 in exact arithmetic.  The same
+factorization is the LDL^T decomposition of I, so elimination on I keeps
+every entry in pole form: its pivots are the d_k and its multipliers the
+integers c_k(J).
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .errors import (
     DimensionTooLarge,
     IndexOutOfRange,
     KernelNotFound,
+    NonConstantMultiplier,
 )
 from .exact import (
     LaurentPi,
@@ -69,6 +75,7 @@ from .exact import (
     RatFunQ,
     int_poly_from_roots,
     ratfun_from_poles,
+    ratfun_product_from_poles,
 )
 
 
@@ -149,7 +156,10 @@ def _entry_residues(j: int, k: int) -> dict[int, int]:
     """Residue map of i_entry(J, K) / pi: c_n(J) c_n(K) at s = +n and -n,
     since 2s/(s^2 - n^2) = 1/(s - n) + 1/(s + n)."""
     out: dict[int, int] = {}
-    for n in range(1, min(j, k) + 1):
+    if (j - k) % 2:
+        return out
+    # c_n(J) vanishes unless n == J (mod 2)
+    for n in range(2 - j % 2, min(j, k) + 1, 2):
         w = coeff_c(n, j) * coeff_c(n, k)
         if w:
             out[n] = out[-n] = w
@@ -163,12 +173,20 @@ def i_entry(j: int, k: int) -> RatFunPi:
     return ratfun_from_poles(1, _entry_residues(j, k))
 
 
-def i_matrix(n_order: int) -> IMatrix:
+def i_residue_maps(n_order: int) -> list[list[dict[int, int]]]:
+    """Residue maps of the moment matrix entries over pi, rows[J-1][K-1]."""
     if n_order < 1:
         raise IndexOutOfRange("matrix order must be at least 1")
-    ent = tuple(
-        tuple(i_entry(j, k) for k in range(1, n_order + 1))
+    return [
+        [_entry_residues(j, k) for k in range(1, n_order + 1)]
         for j in range(1, n_order + 1)
+    ]
+
+
+def i_matrix(n_order: int) -> IMatrix:
+    ent = tuple(
+        tuple(ratfun_from_poles(1, res) for res in row)
+        for row in i_residue_maps(n_order)
     )
     return IMatrix(n_order, ent)
 
@@ -271,6 +289,73 @@ def det_ratfun(matrix) -> RatFunPi:
     for idx in range(n):
         det = det * rows[idx][idx]
     return det * Fraction(sign)
+
+
+def det_residue_maps(rows) -> RatFunPi:
+    """Exact determinant of a matrix whose entries are pi * sum_n r_n/(s - n),
+    each given by its residue map {n: r_n}, by elimination in pole form.
+
+    Pivoting is det_ratfun's: the first row with a nonzero entry in the
+    current column is the pivot.  Every entry below the pivot must be a
+    constant multiple lambda of it, so the row update is arithmetic on
+    residue maps and stays in pole form; an entry that is not raises
+    NonConstantMultiplier.  The moment matrix never does, since I = C^T D C
+    gives pivots d_k and integer multipliers c_k(J).  The determinant is
+    the sign times the product of the pivots, reduced without a gcd by
+    ratfun_product_from_poles.
+    """
+    rows = [
+        [{p: r for p, r in e.items() if r != 0} for e in row]
+        for row in _as_entry_rows(rows)
+    ]
+    n = len(rows)
+    sign = 1
+    pivots = []
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            return RatFunPi.zero()
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            sign = -sign
+        pivot = rows[col][col]
+        pivot_rest = [(c2, rows[col][c2]) for c2 in range(col + 1, n) if rows[col][c2]]
+        for r in range(col + 1, n):
+            entry = rows[r][col]
+            if not entry:
+                continue
+            lam = _multiplier(entry, pivot)
+            if lam is None:
+                raise NonConstantMultiplier(
+                    f"entry ({r + 1}, {col + 1}) is not a constant multiple of "
+                    f"the pivot at elimination step {col + 1}"
+                )
+            for c2, source in pivot_rest:
+                # every map in rows is its own copy, so update it in place
+                target = rows[r][c2]
+                for p, v in source.items():
+                    x = target.get(p, 0) - lam * v
+                    if x:
+                        target[p] = x
+                    else:
+                        del target[p]
+        pivots.append(pivot)
+    if sign < 0:
+        pivots[0] = {p: -r for p, r in pivots[0].items()}
+    return ratfun_product_from_poles(n, pivots)
+
+
+def _multiplier(entry: dict, pivot: dict):
+    """lambda with entry == lambda * pivot as residue maps, or None."""
+    if entry.keys() != pivot.keys():
+        return None
+    p0 = next(iter(pivot))
+    lam = Fraction(entry[p0]) / pivot[p0]
+    if lam.denominator == 1:
+        lam = lam.numerator
+    if any(entry[p] != lam * r for p, r in pivot.items()):
+        return None
+    return lam
 
 
 def det_double_sum(matrix):
@@ -475,10 +560,7 @@ def omega_psi_check(n_order: int) -> RankOneReport:
 
     # Entries are proper with simple poles, so two of them (or two sums of
     # them) are equal exactly when their residue maps are.
-    entries = [
-        [_entry_residues(j, k) for k in range(1, big_n + 1)]
-        for j in range(1, big_n + 1)
-    ]
+    entries = i_residue_maps(big_n)
     omega_last = [Fraction(cm.rows[big_n - 1][j]) for j in range(big_n)]
     dot = sum((w * p for w, p in zip(omega_last, psi)), Fraction(0))
     ok_rank_one = all(

@@ -6,10 +6,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from recmahler import measure
-from recmahler.cli import run
+from recmahler import cli, measure, spectral
+from recmahler.cli import N_CAPS, run
+from recmahler.errors import NoConvergence
 from recmahler.exact import parse_pi_scaled, ratfun_from_lists
 from recmahler.spectral import h_closed, h_eval, h_hat, volume_exact
 
@@ -163,6 +165,40 @@ def test_verify_det(capsys):
     assert det == prod
 
 
+def _tamper_entry(monkeypatch, j, k, change):
+    true_residues = spectral._entry_residues
+
+    def tampered(jj, kk):
+        res = dict(true_residues(jj, kk))
+        if (jj, kk) == (j, k):
+            change(res)
+        return res
+
+    monkeypatch.setattr(spectral, "_entry_residues", tampered)
+
+
+def test_verify_det_fails_on_a_scaled_entry(capsys, monkeypatch):
+    """I[1][1] doubled keeps every multiplier constant, so elimination runs
+    to a determinant that differs from the product form."""
+    _tamper_entry(monkeypatch, 1, 1, lambda res: res.update({1: 2, -1: 2}))
+    code, rep, _ = invoke_json(capsys, ["verify-det", "--N", "4"])
+    assert code == 1
+    assert rep["checks"][0]["status"] == "fail"
+    det = ratfun_from_lists(rep["exact_results"]["determinant"])
+    assert det.pi_power == 4 and det != spectral.h_product(4)
+    assert ratfun_from_lists(rep["exact_results"]["product_form"]) == spectral.h_product(4)
+
+
+def test_verify_det_exits_three_on_a_non_constant_multiplier(capsys, monkeypatch):
+    """I[3][1] one unit off at s = 1 alone is no multiple of the pivot d_1."""
+    _tamper_entry(monkeypatch, 3, 1, lambda res: res.update({1: res[1] + 1}))
+    code, out, err = invoke(capsys, ["verify-det", "--N", "4"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "not a constant multiple" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_entries(capsys):
     code, rep, _ = invoke_json(capsys, ["verify-entries", "--J", "1", "--K", "3"])
     assert code == 0
@@ -274,6 +310,8 @@ GOLDEN = {
     ("hn", "--N", "12", "--xi", "1.5"): "1283f35d052ea46caca6e5896d2da93594790a6132488017eade39c5362e7a06",
     ("volume", "--N", "12"): "9fd1ed785637efbe003b3f29c4576e2fd49d229d6a3f57fb18a5bf6eb94227f8",
     ("verify-det", "--N", "6"): "ca14c01c7bf537116e715f5d66cb4eeca3a0f63e0430fc9eee1598171730dc6f",
+    ("verify-det", "--N", "12"): "a3bef7ef7cc1a6e509f4dedd3023d9694535c93c3a6d21952d8d4dad676f7eec",
+    ("verify-det", "--N", "20"): "475bdab15740895d1001c1e6d4be87e60c9ea5b56ac39b4df547adfb37f24601",
     ("rank-one", "--N", "8"): "329baaee724d076cd646fab6d680c77ea7539dc0e866c71bf71b9e52a7ec6a32",
 }
 
@@ -283,6 +321,44 @@ def test_exact_reports_match_golden_digests(capsys, argv):
     code, out, _ = invoke(capsys, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("command", sorted(N_CAPS))
+def test_order_above_the_cap_exits_two(capsys, command):
+    cap = N_CAPS[command]
+    code, out, err = invoke(capsys, [command, "--N", str(cap + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --N {cap + 1} is above the cap of {cap} for {command}\n"
+
+
+@pytest.mark.parametrize("command", ["volume", "verify-det"])
+def test_order_at_the_cap_passes(capsys, command):
+    """volume's float value overflowed above N = 617 before the cap."""
+    code, rep, _ = invoke_json(capsys, [command, "--N", str(N_CAPS[command])])
+    assert code == 0
+    assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def test_node_on_zero_exits_three(capsys):
+    x0 = np.exp(2j * np.pi * (0.5 / 16))
+    coeffs = json.dumps([[-x0.real, -x0.imag], [1, 0]])
+    code, out, err = invoke(capsys, ["measure", "--coeffs", coeffs, "--nodes", "16"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "quadrature node" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_no_convergence_exits_three(capsys, monkeypatch):
+    def stalled(coeffs, tol):
+        raise NoConvergence("residual 1.0e-03 above tolerance 1.0e-10")
+
+    monkeypatch.setattr(cli, "find_roots", stalled)
+    code, out, err = invoke(capsys, ["measure", "--coeffs", "[1, 2.5, 1]"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: residual 1.0e-03 above tolerance 1.0e-10\n"
 
 
 def test_reports_are_byte_identical(capsys):

@@ -10,9 +10,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recmahler import spectral
-from recmahler.errors import DimensionTooLarge, IndexOutOfRange
+from recmahler.errors import (
+    DimensionTooLarge,
+    IndexOutOfRange,
+    NonConstantMultiplier,
+)
 from recmahler.exact import (
     LaurentPi,
     PiScaled,
@@ -20,6 +26,7 @@ from recmahler.exact import (
     laurent_mellin,
     partial_fractions,
     ratfun_eval_exact,
+    ratfun_from_poles,
 )
 from recmahler.spectral import (
     CMatrix,
@@ -29,6 +36,7 @@ from recmahler.spectral import (
     d_term,
     det_double_sum,
     det_ratfun,
+    det_residue_maps,
     h_closed,
     h_eval,
     h_hat,
@@ -37,6 +45,7 @@ from recmahler.spectral import (
     hJK_quadrature,
     i_entry,
     i_matrix,
+    i_residue_maps,
     omega_psi_check,
     rho,
     volume_exact,
@@ -169,6 +178,99 @@ def test_det_ratfun_equals_product_small_orders():
 def test_det_ratfun_zero_for_singular():
     d1 = d_term(1)
     assert det_ratfun([[d1, d1], [d1, d1]]).is_zero
+
+
+def test_i_residue_maps_build_i_matrix():
+    for n in range(1, 7):
+        maps = i_residue_maps(n)
+        assert [[ratfun_from_poles(1, m) for m in row] for row in maps] == [
+            list(row) for row in i_matrix(n).entries
+        ]
+    with pytest.raises(IndexOutOfRange):
+        i_residue_maps(0)
+
+
+def test_det_residue_maps_equals_det_ratfun_to_order_10():
+    for n in range(1, 11):
+        det = det_residue_maps(i_residue_maps(n))
+        assert det == det_ratfun(i_matrix(n))
+        assert det == h_product(n)
+
+
+def test_det_residue_maps_equals_double_sum_to_order_4():
+    for n in range(1, 5):
+        assert det_residue_maps(i_residue_maps(n)) == det_double_sum(i_matrix(n))
+
+
+def test_det_residue_maps_zero_for_singular():
+    d1 = {1: 1, -1: 1}
+    assert det_residue_maps([[d1, d1], [d1, d1]]).is_zero
+    assert det_residue_maps([[{}, d1], [{2: 0}, d1]]).is_zero
+
+
+def test_det_residue_maps_pivots_like_det_ratfun():
+    """A zero leading entry swaps rows and flips the sign."""
+    maps = [[{}, {1: 1}, {}], [{2: 3}, {3: 1}, {1: 2}], [{2: -6}, {3: -2, 1: 5}, {4: 1}]]
+    det = det_residue_maps(maps)
+    assert not det.is_zero
+    assert det == det_ratfun([[ratfun_from_poles(1, m) for m in row] for row in maps])
+
+
+def test_det_residue_maps_leaves_its_input_alone():
+    maps = i_residue_maps(5)
+    before = [[dict(m) for m in row] for row in maps]
+    det_residue_maps(maps)
+    assert maps == before
+
+
+@pytest.mark.parametrize(
+    "below",
+    [{1: 1, 2: 1}, {1: 1, -1: 2}, {2: 1, -2: 1}],
+    ids=["extra pole", "unequal ratio", "other poles"],
+)
+def test_det_residue_maps_rejects_non_constant_multiplier(below):
+    with pytest.raises(NonConstantMultiplier):
+        det_residue_maps([[{1: 1, -1: 1}, {3: 1}], [below, {4: 1}]])
+
+
+def _ldu_maps(lower, diag, upper):
+    """Residue maps of L D U for unitriangular L, U and diagonal D of maps."""
+    n = len(diag)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc: dict = {}
+            for k in range(min(i, j) + 1):
+                w = (1 if k == i else lower[i][k]) * (1 if k == j else upper[k][j])
+                for p, r in diag[k].items():
+                    acc[p] = acc.get(p, 0) + w * r
+            row.append({p: r for p, r in acc.items() if r != 0})
+        out.append(row)
+    return out
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_det_residue_maps_on_ldu_products(data):
+    """L D U with pole-form D eliminates with constant multipliers, and the
+    pole-form determinant equals the gcd-reduced one."""
+    n = data.draw(st.integers(1, 3))
+    square = st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    lower, upper = data.draw(square), data.draw(square)
+    diag = data.draw(
+        st.lists(
+            st.dictionaries(st.integers(-3, 3), small_rationals, max_size=3),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    maps = _ldu_maps(lower, diag, upper)
+    entries = [[ratfun_from_poles(1, m) for m in row] for row in maps]
+    assert det_residue_maps(maps) == det_ratfun(entries)
 
 
 def test_det_double_sum_on_fractions():
