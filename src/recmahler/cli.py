@@ -190,19 +190,20 @@ def _cmd_verify_det(args) -> int:
     n = args.N
     det = det_residue_maps(i_residue_maps(n))
     prod = h_product(n)
+    ok = det == prod
     det_lists = ratfun_to_lists(det)
     report = {
         "command": "verify-det",
         "inputs": {"N": n},
         "exact_results": {
             "determinant": det_lists,
-            "product_form": det_lists if det == prod else ratfun_to_lists(prod),
+            "product_form": det_lists if ok else ratfun_to_lists(prod),
         },
         "numeric_results": {},
         "checks": [
             _check(
                 "determinant-identity",
-                det == prod,
+                ok,
                 "det of the moment matrix equals prod 2 pi s/(s^2 - n^2), exact",
             )
         ],
@@ -378,8 +379,8 @@ class _Usage(Exception):
 
 
 # Largest order N each exact subcommand accepts, so that every accepted N
-# finishes in seconds (about 1 s at the cap on 2 cores); volume's float
-# value overflows at N = 618.
+# finishes within about a second on 2 cores; volume's float value would
+# overflow from N = 618.
 N_CAPS = {"hn": 200, "volume": 500, "verify-det": 100, "rank-one": 64}
 
 
