@@ -56,6 +56,7 @@ from .spectral import (
     h_eval,
     h_hat,
     h_product,
+    h_values,
     hJK_closed,
     hJK_quadrature,
     i_entry,
@@ -103,6 +104,7 @@ __all__ = [
     "h_eval",
     "h_hat",
     "h_product",
+    "h_values",
     "hJK_closed",
     "hJK_quadrature",
     "i_entry",

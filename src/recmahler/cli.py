@@ -16,8 +16,8 @@ Exit status: 0 when every check passed, 1 when any check failed, 2 for
 malformed arguments (an order N above its subcommand's cap in N_CAPS among
 them), 3 when a computation on valid input failed (a root solve that did not
 converge, a quadrature node on a zero of the integrand, an elimination step
-that would leave pole form).  Exits 2 and 3 print one `error:` line to
-stderr.
+that would leave pole form, a float value of h_N(xi) that overflows a
+double).  Exits 2 and 3 print one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .spectral import (
     h_eval,
     h_hat,
     h_product,
+    h_values,
     hJK_closed,
     hJK_quadrature,
     det_residue_maps,
@@ -365,12 +366,17 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--step must be positive, got {args.step:g}")
     if args.stop < args.start:
         raise ValueError(f"--stop {args.stop:g} is below --start {args.start:g}")
+    span = (args.stop - args.start) / args.step
+    # the grid is held in memory so that a failed value prints no rows; the
+    # negated test also rejects an infinite or NaN span
+    if not span < TABLE_MAX_STEPS:
+        raise ValueError(f"the grid has more than {TABLE_MAX_STEPS} steps")
+    steps = int(round(span))
+    grid = [args.start + i * args.step for i in range(steps + 1)]
+    values = h_values(args.N, grid)
     print("xi,h_N")
-    xi = args.start
-    steps = int(round((args.stop - args.start) / args.step))
-    for i in range(steps + 1):
-        xi = args.start + i * args.step
-        print(f"{xi:.15g},{h_eval(args.N, xi):.15g}")
+    for xi, h in zip(grid, values):
+        print(f"{xi:.15g},{h:.15g}")
     return 0
 
 
@@ -382,6 +388,9 @@ class _Usage(Exception):
 # finishes within about a second on 2 cores; volume's float value would
 # overflow from N = 618.
 N_CAPS = {"hn": 200, "volume": 500, "verify-det": 100, "rank-one": 64}
+
+# Largest number of xi steps `table` accepts.
+TABLE_MAX_STEPS = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -71,6 +71,10 @@ class NonConstantMultiplier(ComputationFailed):
     of the pivot, so the row update would leave pole form."""
 
 
+class EvaluationOverflow(ComputationFailed):
+    """A float value, or a term of the sum that gives it, overflows a double."""
+
+
 class StepTooLarge(RecMahlerError):
     """Finite-difference step too coarse for the requested stencil."""
 
@@ -81,7 +85,3 @@ class IndexOutOfRange(RecMahlerError):
 
 class DimensionTooLarge(RecMahlerError):
     """A deliberately small-scale oracle asked to run beyond its size cap."""
-
-
-class KernelNotFound(RecMahlerError):
-    """An exact linear system unexpectedly had no nonzero kernel vector."""

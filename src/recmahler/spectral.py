@@ -44,11 +44,18 @@ The factorization behind the determinant: the moment matrix is C^T D C
 with C the unitriangular integer matrix of c_n(J) and D the diagonal of
 2*pi*s/(s^2 - n^2).  The last diagonal entry is also reachable through a
 rank-one identity: any exact kernel vector psi of the first N-1 rows of C
-satisfies I psi = d_N (omega_N . psi) omega_N, and omega_psi_check verifies
-that, the factorization, and det C = 1 in exact arithmetic.  The same
-factorization is the LDL^T decomposition of I, so elimination on I keeps
-every entry in pole form: its pivots are the d_k and its multipliers the
-integers c_k(J).
+satisfies I psi = d_N (omega_N . psi) omega_N.  omega_psi_check reads all
+of it off C's structure, with no elimination: psi comes from integer back
+substitution, det C = 1 is the product of the diagonal of an upper
+triangular C, and the identity and the factorization (each of the N^2
+entries, built once per pair J <= K from the n == J (mod 2) terms) are
+compared as residue maps.  The same factorization is the LDL^T
+decomposition of I, so elimination on I keeps every entry in pole form:
+its pivots are the d_k and its multipliers the integers c_k(J).
+
+Every rational function compared here is proper with simple poles, so two
+of them are equal exactly when their residue maps are: comparing the maps
+is already a proof, and no evaluation at sample points is needed.
 """
 
 from __future__ import annotations
@@ -63,8 +70,8 @@ import mpmath
 
 from .errors import (
     DimensionTooLarge,
+    EvaluationOverflow,
     IndexOutOfRange,
-    KernelNotFound,
     NonConstantMultiplier,
 )
 from .exact import (
@@ -458,9 +465,28 @@ def h_eval(n_order: int, xi: float, pi_value: float = math.pi) -> float:
     Uses the anchored Laurent evaluation, so h_eval(N, 1.0) is exactly 0.0
     and the grid monotonicity checks are not fighting cancellation noise.
     """
-    if xi < 1.0:
-        return 0.0
-    return h_closed(n_order).eval(float(xi), pi_value)
+    return h_values(n_order, [xi], pi_value)[0]
+
+
+def h_values(n_order: int, xis, pi_value: float = math.pi) -> list[float]:
+    """h_eval at each xi in turn, building h_closed(N) once.
+
+    Raises EvaluationOverflow when a value, or a term of its sum, overflows
+    a double.
+    """
+    h = h_closed(n_order)
+    out = []
+    for xi in xis:
+        if xi < 1.0:
+            out.append(0.0)
+            continue
+        try:
+            out.append(h.eval(float(xi), pi_value))
+        except OverflowError:
+            raise EvaluationOverflow(
+                f"h_N(xi) at N = {n_order}, xi = {xi:.15g} overflows a double"
+            ) from None
+    return out
 
 
 def volume_exact(n_order: int) -> PiScaled:
@@ -492,77 +518,31 @@ class RankOneReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _kernel_vector(rows: list[list[Fraction]], width: int) -> list[Fraction]:
-    """One nonzero rational kernel vector of a (width-1) x width system."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(width):
-        sel = None
-        for r in range(row, m):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(width) if c not in pivot_cols]
-    if not free:
-        raise KernelNotFound("system has full column rank")
-    fc = free[-1]
-    psi = [Fraction(0)] * width
-    psi[fc] = Fraction(1)
-    for r, c in pivots:
-        psi[c] = -mat[r][fc]
-    # clear denominators for a tidy integer vector
-    lcm = 1
-    for x in psi:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    psi = [x * lcm for x in psi]
-    return psi
-
-
 def omega_psi_check(n_order: int) -> RankOneReport:
     """Exact verification of the rank-one identity at order N >= 2.
 
-    omega_n is the n-th row of the C matrix.  psi is an exact kernel vector
-    of the rows omega_1 .. omega_{N-1}; the checks confirm, all in exact
-    arithmetic:
+    omega_n is the n-th row of the C matrix.  C is upper unitriangular, so
+    psi_N = 1 and back substitution, psi_k = -sum_{j>k} c_k(j) psi_j, give
+    an integer kernel vector psi of the rows omega_1 .. omega_{N-1}; the
+    checks confirm, all in exact arithmetic:
 
       * I psi = d_N * (omega_N . psi) * omega_N  (row by row),
       * I = C^T D C entry by entry,
-      * det C = 1.
+      * det C = 1, as the product of the diagonal of an upper triangular C.
     """
     if n_order < 2:
         raise IndexOutOfRange("rank-one check needs order >= 2")
     big_n = n_order
-    cm = c_matrix(big_n)
-    rows = [
-        [Fraction(cm.rows[n][j]) for j in range(big_n)] for n in range(big_n - 1)
-    ]
-    psi = _kernel_vector(rows, big_n)
-    if all(x == 0 for x in psi):
-        raise KernelNotFound("kernel vector is zero")
+    c = c_matrix(big_n).rows
+    psi = [0] * (big_n - 1) + [1]
+    for k in range(big_n - 2, -1, -1):
+        psi[k] = -sum(c[k][j] * psi[j] for j in range(k + 1, big_n))
 
     checks: list[tuple[str, bool, str]] = []
 
-    # Entries are proper with simple poles, so two of them (or two sums of
-    # them) are equal exactly when their residue maps are.
     entries = i_residue_maps(big_n)
-    omega_last = [Fraction(cm.rows[big_n - 1][j]) for j in range(big_n)]
-    dot = sum((w * p for w, p in zip(omega_last, psi)), Fraction(0))
+    omega_last = c[big_n - 1]
+    dot = sum(w * p for w, p in zip(omega_last, psi))
     ok_rank_one = all(
         _combine(zip(psi, entries[j]))
         == _combine([(dot * omega_last[j], _d_residues(big_n))])
@@ -576,20 +556,31 @@ def omega_psi_check(n_order: int) -> RankOneReport:
         )
     )
 
-    ok_fact = all(
-        _combine(
-            (cm.rows[n][j] * cm.rows[n][k], _d_residues(n + 1)) for n in range(big_n)
+    def ctdc(j: int, k: int) -> dict:
+        """Residue map of (C^T D C)[j][k] / pi for j <= k; c_n(J) vanishes
+        unless n == J (mod 2)."""
+        return _combine(
+            (c[n][j] * c[n][k], _d_residues(n + 1)) for n in range(j % 2, j + 1, 2)
         )
-        == entries[j][k]
+
+    ok_fact = all(
+        entries[j][k] == ctdc(j, k) == entries[k][j]
         for j in range(big_n)
-        for k in range(big_n)
+        for k in range(j, big_n)
     )
     checks.append(("factorization", ok_fact, "I == C^T D C entry by entry, exact"))
 
-    det_c = _fraction_det([[Fraction(v) for v in row] for row in cm.rows])
-    checks.append(("unimodular C", det_c == 1, f"det C = {det_c}, expected 1"))
+    upper = not any(c[n][j] for n in range(big_n) for j in range(n))
+    det_c = math.prod(c[n][n] for n in range(big_n))
+    checks.append(
+        (
+            "unimodular C",
+            upper and det_c == 1,
+            f"det C = {det_c}, expected 1" if upper else "C is not upper triangular",
+        )
+    )
 
-    return RankOneReport(big_n, tuple(psi), tuple(checks))
+    return RankOneReport(big_n, tuple(Fraction(x) for x in psi), tuple(checks))
 
 
 def _d_residues(n: int) -> dict[int, int]:
@@ -604,29 +595,3 @@ def _combine(terms) -> dict:
         for n, r in res.items():
             out[n] = out.get(n, 0) + w * r
     return {n: r for n, r in out.items() if r != 0}
-
-
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    sign = 1
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            mat[col], mat[sel] = mat[sel], mat[col]
-            sign = -sign
-        piv = mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                f = mat[r][col] / piv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    det = Fraction(sign)
-    for idx in range(n):
-        det *= mat[idx][idx]
-    return det

@@ -290,6 +290,9 @@ def test_table_csv(capsys):
         (["--step", "0"], "--step must be positive"),
         (["--step", "-0.1"], "--step must be positive"),
         (["--start", "3", "--stop", "1"], "is below --start"),
+        (["--step", "1e-9"], "more than 1000000 steps"),
+        (["--stop", "inf"], "more than 1000000 steps"),
+        (["--stop", "nan"], "more than 1000000 steps"),
     ],
 )
 def test_table_rejects_empty_or_endless_grids(capsys, bounds, message):
@@ -313,6 +316,8 @@ GOLDEN = {
     ("verify-det", "--N", "12"): "a3bef7ef7cc1a6e509f4dedd3023d9694535c93c3a6d21952d8d4dad676f7eec",
     ("verify-det", "--N", "20"): "475bdab15740895d1001c1e6d4be87e60c9ea5b56ac39b4df547adfb37f24601",
     ("rank-one", "--N", "8"): "329baaee724d076cd646fab6d680c77ea7539dc0e866c71bf71b9e52a7ec6a32",
+    ("rank-one", "--N", "20"): "c3ba716112cac267d7a88eb76e3b9084f79c4525636df7b32dee3c2d3cd94ebf",
+    ("rank-one", "--N", "64"): "d6036268aca884dc671778f96be41d04cd58cb5c89899b9d5d47fe2692c96777",
 }
 
 
@@ -332,7 +337,7 @@ def test_order_above_the_cap_exits_two(capsys, command):
     assert err == f"error: --N {cap + 1} is above the cap of {cap} for {command}\n"
 
 
-@pytest.mark.parametrize("command", ["volume", "verify-det"])
+@pytest.mark.parametrize("command", ["volume", "verify-det", "rank-one"])
 def test_order_at_the_cap_passes(capsys, command):
     """volume's float value overflowed above N = 617 before the cap."""
     code, rep, _ = invoke_json(capsys, [command, "--N", str(N_CAPS[command])])
@@ -359,6 +364,23 @@ def test_no_convergence_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: residual 1.0e-03 above tolerance 1.0e-10\n"
+
+
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (["hn", "--N", "200", "--xi", "100"], "N = 200, xi = 100"),
+        # the true value, 2.48e150, is a finite double, but xi^400 is not
+        (["hn", "--N", "200", "--xi", "10"], "N = 200, xi = 10"),
+        # pi^700 overflows at the first grid point
+        (["table", "--N", "700", "--stop", "1.01"], "N = 700, xi = 1"),
+    ],
+)
+def test_overflowing_h_value_exits_three(capsys, argv, point):
+    code, out, err = invoke(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: h_N(xi) at {point} overflows a double\n"
 
 
 def test_reports_are_byte_identical(capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from recmahler import spectral
 from recmahler.errors import (
     DimensionTooLarge,
+    EvaluationOverflow,
     IndexOutOfRange,
     NonConstantMultiplier,
 )
@@ -41,6 +42,7 @@ from recmahler.spectral import (
     h_eval,
     h_hat,
     h_product,
+    h_values,
     hJK_closed,
     hJK_quadrature,
     i_entry,
@@ -360,6 +362,27 @@ def test_h_eval_frozen():
         assert h_eval(n, 1.0) == 0.0
 
 
+def test_h_values_match_h_eval_and_build_the_closed_form_once(monkeypatch):
+    grid = [0.5, 1.0, 1.25, 1.5, 3.0]
+    expect = [h_eval(3, xi) for xi in grid]
+    calls = []
+    build = spectral.h_closed
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(spectral, "h_closed", counted)
+    assert h_values(3, grid) == expect
+    assert calls == [3]
+
+
+def test_h_eval_overflow_is_typed():
+    """xi^200 overflows a double at xi = 100 before the sum is formed."""
+    with pytest.raises(EvaluationOverflow, match="N = 100, xi = 100 overflows"):
+        h_eval(100, 100.0)
+
+
 # ---------------------------------------------------------------------------
 # volume
 
@@ -435,6 +458,32 @@ def test_omega_psi_detects_a_wrong_entry(monkeypatch):
         "factorization": False,
         "unimodular C": True,
     }
+
+
+def test_omega_psi_checks_both_triangles_of_the_moment_matrix(monkeypatch):
+    """The factorization map is built once per pair J <= K; a wrong entry
+    below the diagonal alone, I[3][1], must still fail it."""
+    true_residues = spectral._entry_residues
+
+    def tampered(j, k):
+        res = dict(true_residues(j, k))
+        if (j, k) == (3, 1):
+            res[1] += 1
+        return res
+
+    monkeypatch.setattr(spectral, "_entry_residues", tampered)
+    verdict = {name: ok for name, ok, _ in omega_psi_check(3).checks}
+    assert verdict["factorization"] is False
+
+
+def test_omega_psi_fails_unimodularity_off_the_triangle(monkeypatch):
+    """det C is read off the diagonal only while C is upper triangular."""
+    true_coeff = spectral.coeff_c
+    monkeypatch.setattr(
+        spectral, "coeff_c", lambda n, j: 1 if (n, j) == (2, 1) else true_coeff(n, j)
+    )
+    checks = {name: (ok, detail) for name, ok, detail in omega_psi_check(3).checks}
+    assert checks["unimodular C"] == (False, "C is not upper triangular")
 
 
 def test_omega_psi_rejects_order_one():
