@@ -15,9 +15,10 @@ iteration happenstance.
 Exit status: 0 when every check passed, 1 when any check failed, 2 for
 malformed arguments (an order N above its subcommand's cap in N_CAPS among
 them), 3 when a computation on valid input failed (a root solve that did not
-converge, a quadrature node on a zero of the integrand, an elimination step
-that would leave pole form, a float value of h_N(xi) that overflows a
-double).  Exits 2 and 3 print one `error:` line to stderr.
+converge or whose coefficient ratio c_j/c_d overflows a double, a quadrature
+node on a zero of the integrand, an elimination step that would leave pole
+form, a float value of h_N(xi) that overflows a double).  Exits 2 and 3
+print one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -384,10 +385,19 @@ class _Usage(Exception):
     pass
 
 
-# Largest order N each exact subcommand accepts, so that every accepted N
-# finishes within about a second on 2 cores; volume's float value would
-# overflow from N = 618.
-N_CAPS = {"hn": 200, "volume": 500, "verify-det": 100, "rank-one": 64}
+# Largest order N each subcommand accepts, so that every accepted N
+# finishes within about a second on 2 cores (mc at 10^4 samples, table on
+# its default grid); volume's float value would overflow from N = 618.
+# mc stops where the measure kernel's y-route ends: from N = 9 it solves the
+# degree-2N palindrome, and --mode volume --N 9 takes ten times as long.
+N_CAPS = {
+    "hn": 200,
+    "volume": 500,
+    "verify-det": 100,
+    "rank-one": 64,
+    "mc": 8,
+    "table": 200,
+}
 
 # Largest number of xi steps `table` accepts.
 TABLE_MAX_STEPS = 10**6

@@ -21,6 +21,7 @@ leans on that orientation.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -608,6 +609,11 @@ class LaurentPi:
             total += c
         return PiScaled(total, self.pi_power if total != 0 else 0)
 
+    @functools.cached_property
+    def _float_at_one(self) -> float:
+        """value_at_one's rational part as a float, summed once per object."""
+        return float(self.value_at_one().coeff)
+
     def eval(self, x: float, pi_value: float = math.pi) -> float:
         """Numeric value at x > 0.
 
@@ -619,8 +625,7 @@ class LaurentPi:
             from .errors import ZeroArgument
 
             raise ZeroArgument("Laurent evaluation at 0")
-        base = float(self.value_at_one().coeff)
-        acc = base
+        acc = self._float_at_one
         for e, c in self.coeffs.items():
             acc += float(c) * (x ** e - 1.0)
         return acc * pi_value ** self.pi_power

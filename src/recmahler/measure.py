@@ -14,10 +14,18 @@ only trustworthy for root-screened inputs, where it provides a genuinely
 independent cross-check.
 
 Root finding is a simultaneous iteration (Ehrlich-Aberth corrections) over
-all roots at once, started deterministically on a circle whose radius comes
-from the Cauchy coefficient bound, finished with a short Newton polish.
-The kernel is written over a batch axis; each row stops iterating once its
-own step stagnates, and the single polynomial API is the batch of one.
+all roots at once, finished with a short Newton polish.  The kernel is
+written over a batch axis; each row stops iterating once its own step
+stagnates.  A batch starts deterministically on a circle whose radius comes
+from the Cauchy coefficient bound.  One polynomial (find_roots) starts
+instead from the eigenvalues of its companion matrix, which are accurate to
+rounding for well-separated roots, so Aberth stops after one sweep at every
+degree from 2 to 16 where the circle start takes 6 to 25 (roots at radius
+1.25 to 2 or its inverse), each paying NumPy's per-call overhead.  Batches
+keep the circle start: LAPACK solves one matrix at a time, and on Gaussian
+coefficients (one thread, 2 cores) eigenvalues plus Aberth measured 9.8
+against 6.8 us per polynomial at degree 3 (65536 rows), 35 against 22 at
+degree 6 (16384 rows) and 227 against 202 at degree 16 (4096 rows).
 
 Reciprocal measures use the paper's pair products instead of the degree-2N
 palindrome: x^N p_v(x) = v_N prod (x^2 + beta_n x + 1), so with
@@ -93,11 +101,16 @@ def _residual_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def aberth_batch(
-    coeffs: np.ndarray, tol: float = 1e-10
+    coeffs: np.ndarray, tol: float = 1e-10, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simultaneous root iteration over a batch of same-degree polynomials.
 
     coeffs: (B, d+1) complex, ascending, leading column nonzero in every row.
+    start: (B, d) initial root estimates; by default a circle of Cauchy bound
+    radius per row.  find_roots passes a polynomial's companion eigenvalues,
+    which pay off for a batch of one only: batched, eigenvalues plus Aberth
+    cost 9.8 against 6.8 us per polynomial at degree 3, 35 against 22 at
+    degree 6 and 227 against 202 at degree 16 (module docstring).
     Returns (roots (B, d), residual (B,), converged (B,) bool).  Rows that
     fail to reach tol are reported, not raised; the single-polynomial API
     turns that into NoConvergence, the Monte Carlo driver counts it.
@@ -112,11 +125,14 @@ def aberth_batch(
     monic = coeffs / coeffs[:, -1][:, None]
     dcoeffs = monic[:, 1:] * np.arange(1, deg + 1)
 
-    # deterministic start: Cauchy bound radius, equispaced angles with a
-    # fixed offset so no guess starts on a symmetry axis of real inputs
-    radius = 1.0 + np.max(np.abs(monic[:, :-1]), axis=1)
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4 / deg
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
+    if start is None:
+        # deterministic start: Cauchy bound radius, equispaced angles with a
+        # fixed offset so no guess starts on a symmetry axis of real inputs
+        radius = 1.0 + np.max(np.abs(monic[:, :-1]), axis=1)
+        angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4 / deg
+        z = radius[:, None] * np.exp(1j * angles)[None, :]
+    else:
+        z = np.array(start, dtype=complex).reshape(batch, deg)
 
     # rows leave the active set once their own step stagnates, so one slow
     # row does not keep the whole batch iterating
@@ -160,11 +176,37 @@ def aberth_batch(
     return z, residual, residual <= tol
 
 
+def _companion_start(ratios: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of the companion matrix of the monic polynomial with
+    lower coefficients ratios, as a (1, d) Aberth start.
+
+    None, for the circle start, when LAPACK fails, returns a non-finite
+    value or returns one value twice.  The Aberth correction treats equal
+    estimates alike, so they would stay equal and report one root twice:
+    eigenvalues of [5e-39, 1e119, -6e65, 1e-22] lose the root 2.5e53 to a
+    second 0, and both zeros then converge to the root -3.7e-158.
+    """
+    deg = ratios.size
+    companion = np.eye(deg, k=-1, dtype=complex)
+    companion[:, -1] = -ratios
+    try:
+        eig = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(eig)) or np.unique(eig).size < deg:
+        return None
+    return eig[None, :]
+
+
 def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
     """All complex roots of one polynomial given by ascending coefficients.
 
-    The returned roots are sorted by (real, imag) so equal inputs give
-    identical output, not just equal root multisets.
+    Aberth starts from the companion eigenvalues (see the module docstring)
+    and runs to stagnation as in a batch, so the eigenvalues only place the
+    start.  A polynomial whose coefficient ratio c_j/c_d overflows a double
+    has no usable monic form and raises NoConvergence.  The returned roots
+    are sorted by (real, imag) so equal inputs give identical output, not
+    just equal root multisets.
     """
     arr = np.asarray(coeffs, dtype=complex)
     if arr.ndim != 1 or arr.size == 0 or not np.any(arr != 0):
@@ -180,7 +222,18 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
         k += 1
     roots, residual = np.zeros(k, dtype=complex), 0.0
     if arr.size - k > 1:
-        found, res, ok = aberth_batch(arr[None, k:], tol)
+        rest = arr[k:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = rest[:-1] / rest[-1]
+        overflow = np.flatnonzero(~np.isfinite(ratios))
+        if overflow.size:
+            raise NoConvergence(
+                f"coefficient ratio c_{overflow[0] + k}/c_{arr.size - 1} "
+                "overflows a double"
+            )
+        # a value that overflows on the way fails the residual gate below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            found, res, ok = aberth_batch(rest[None, :], tol, _companion_start(ratios))
         if not ok[0]:
             raise NoConvergence(f"residual {res[0]:.3e} above tolerance {tol:.1e}")
         roots = np.concatenate([roots, found[0]]) if k else found[0]

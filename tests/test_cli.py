@@ -4,6 +4,7 @@ codes, and byte-identical reruns."""
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -328,10 +329,15 @@ def test_exact_reports_match_golden_digests(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
+# arguments a subcommand requires besides --N
+REQUIRED_ARGS = {"mc": ["--mode", "volume"]}
+
+
 @pytest.mark.parametrize("command", sorted(N_CAPS))
 def test_order_above_the_cap_exits_two(capsys, command):
     cap = N_CAPS[command]
-    code, out, err = invoke(capsys, [command, "--N", str(cap + 1)])
+    argv = [command, "--N", str(cap + 1)] + REQUIRED_ARGS.get(command, [])
+    code, out, err = invoke(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == f"error: --N {cap + 1} is above the cap of {cap} for {command}\n"
@@ -355,6 +361,20 @@ def test_node_on_zero_exits_three(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "coeffs, ratio", [("[1e10, 1, 1e-300]", "c_0/c_2"), ("[1, 0, 0, 0, 1e-320]", "c_0/c_4")]
+)
+def test_overflowing_coefficient_ratio_exits_three(capsys, coeffs, ratio):
+    """c_0/c_d overflows, so the polynomial has no monic form in doubles:
+    one typed error line, and no NumPy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, ["measure", "--coeffs", coeffs])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: coefficient ratio {ratio} overflows a double\n"
+
+
 def test_no_convergence_exits_three(capsys, monkeypatch):
     def stalled(coeffs, tol):
         raise NoConvergence("residual 1.0e-03 above tolerance 1.0e-10")
@@ -372,8 +392,8 @@ def test_no_convergence_exits_three(capsys, monkeypatch):
         (["hn", "--N", "200", "--xi", "100"], "N = 200, xi = 100"),
         # the true value, 2.48e150, is a finite double, but xi^400 is not
         (["hn", "--N", "200", "--xi", "10"], "N = 200, xi = 10"),
-        # pi^700 overflows at the first grid point
-        (["table", "--N", "700", "--stop", "1.01"], "N = 700, xi = 1"),
+        # xi^400 overflows from xi = 5.9, so the first grid point fails
+        (["table", "--N", "200", "--start", "6", "--stop", "6.01"], "N = 200, xi = 6"),
     ],
 )
 def test_overflowing_h_value_exits_three(capsys, argv, point):

@@ -1,11 +1,15 @@
 """Mahler measure engine: batched root finding, the Jensen product form,
 log-integral quadrature, and the two reciprocal measures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from recmahler import measure
 from recmahler.errors import (
     DegenerateLeadingCoefficient,
+    NoConvergence,
     NodeOnZero,
     ZeroPolynomial,
 )
@@ -106,6 +110,97 @@ def test_find_roots_strips_zero_roots():
 def test_mahler_from_roots_with_zero_roots():
     assert mahler_from_roots([0, 0, 1]) == 1.0
     assert mahler_from_roots([0, 0, 0, 2, -3]) == pytest.approx(3.0, rel=1e-14)
+
+
+def from_known_roots(rng, degree):
+    """lead * prod (x - root) with roots at radius 1.25..2 or its inverse,
+    spread round the circle so they stay apart and off the circle."""
+    radius = rng.uniform(1.25, 2.0, size=degree)
+    radius = np.where(rng.random(degree) < 0.5, 1.0 / radius, radius)
+    theta = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * (
+        np.arange(degree) + rng.uniform(-0.3, 0.3, size=degree)
+    ) / degree
+    roots = radius * np.exp(1j * theta)
+    lead = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+    return lead * np.poly(roots)[::-1], lead, roots
+
+
+@pytest.mark.parametrize("degree", range(2, 17))
+def test_find_roots_recovers_known_roots(degree):
+    coeffs, lead, roots = from_known_roots(np.random.default_rng(60 + degree), degree)
+    found = find_roots(coeffs).roots
+    gaps = np.abs(found[:, None] - roots[None, :])
+    # one found root next to each known root, and no two alike
+    assert sorted(np.argmin(gaps, axis=0)) == list(range(degree))
+    assert float(np.max(np.min(gaps, axis=0))) <= 1e-12
+    expect = abs(lead) * np.prod(np.maximum(1.0, np.abs(roots)))
+    assert mahler_from_roots(coeffs) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("degree", [2, 5, 9, 16])
+def test_find_roots_match_the_circle_started_batch(degree):
+    """The companion eigenvalues only place the start: Aberth, polish and
+    gate are the batch kernel's, so the roots agree with a circle start."""
+    coeffs, _, _ = from_known_roots(np.random.default_rng(80 + degree), degree)
+    circle = aberth_batch(coeffs[None, :])[0][0]
+    circle = circle[np.lexsort((circle.imag, circle.real))]
+    found = find_roots(coeffs).roots
+    assert np.all(np.abs(found - circle) <= 1e-12 * np.maximum(1.0, np.abs(circle)))
+
+
+def test_find_roots_needs_few_aberth_sweeps(monkeypatch):
+    """Each Aberth sweep evaluates p and p' once; the Newton polish takes 6
+    evaluations and the residual 2, so 3 sweeps make 14."""
+    coeffs, _, _ = from_known_roots(np.random.default_rng(90), 16)
+    calls = []
+    horner = measure._horner_batch
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(measure, "_horner_batch", counted)
+    find_roots(coeffs)
+    assert len(calls) <= 2 * 3 + 6 + 2
+    calls.clear()
+    aberth_batch(coeffs[None, :])
+    assert len(calls) > 2 * 3 + 6 + 2  # the circle start needs more
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1, 1, 1e-300], [1, 0, 0, 1e-300], [1, 2, 3, 1e-300], [1e10, 1, 1e-300]]
+)
+def test_find_roots_with_a_tiny_lead_solves_or_fails_typed(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rs = find_roots(coeffs)
+        except NoConvergence:
+            return
+    assert rs.residual <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "eigvals",
+    [
+        np.linalg.LinAlgError("Array must not contain infs or NaNs"),
+        np.array([np.nan, 1.0, 2.0]),
+        np.array([0.0, 0.0, 2.0]),  # equal estimates would stay equal
+    ],
+)
+def test_find_roots_falls_back_to_the_circle_start(monkeypatch, eigvals):
+    coeffs, _, _ = from_known_roots(np.random.default_rng(91), 3)
+    circle = aberth_batch(coeffs[None, :])[0][0]
+
+    def broken(matrix):
+        if isinstance(eigvals, Exception):
+            raise eigvals
+        return eigvals
+
+    monkeypatch.setattr(measure.np.linalg, "eigvals", broken)
+    assert np.array_equal(
+        find_roots(coeffs).roots, circle[np.lexsort((circle.imag, circle.real))]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,23 @@ def test_h_values_match_h_eval_and_build_the_closed_form_once(monkeypatch):
     assert calls == [3]
 
 
+def test_h_values_sum_the_coefficients_once(monkeypatch):
+    """LaurentPi.eval's exact anchor, the coefficient sum, is taken once per
+    h_closed(N), not once per grid point."""
+    grid = [1.0, 1.25, 1.5, 3.0]
+    expect = [h_eval(4, xi) for xi in grid]
+    calls = []
+    anchor = LaurentPi.value_at_one
+
+    def counted(self):
+        calls.append(1)
+        return anchor(self)
+
+    monkeypatch.setattr(LaurentPi, "value_at_one", counted)
+    assert h_values(4, grid) == expect
+    assert len(calls) == 1
+
+
 def test_h_eval_overflow_is_typed():
     """xi^200 overflows a double at xi = 100 before the sum is formed."""
     with pytest.raises(EvaluationOverflow, match="N = 100, xi = 100 overflows"):
