@@ -865,6 +865,12 @@ def laurent_mellin(g: LaurentPi) -> RatFunPi:
     return ratfun_from_poles(g.pi_power, {e // 2: c / 2 for e, c in g.coeffs.items()})
 
 
+def laurent_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> LaurentPi:
+    """Inverse of laurent_mellin: residue r at s = n becomes the coefficient
+    2r at xi^{2n}.  Zero residues drop out; no residue gives zero."""
+    return LaurentPi(pi_power, {2 * n: 2 * r for n, r in residues.items()})
+
+
 # ---------------------------------------------------------------------------
 # serialization helpers shared with the CLI
 

@@ -40,6 +40,7 @@ its batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ from .errors import (
     NodeOnZero,
     ZeroPolynomial,
 )
-from .polynomials import RecipLaurent, MonicRecip
+from .polynomials import MonicRecip, RecipLaurent, lambda_embed
 from .symfun import pair_basis
 
 _MAX_ITER = 160
@@ -59,7 +60,12 @@ _STEP_TOL = 1e-14
 # precision (its roots crowd the segment [-2, 2]): 7e-15 relative at N = 8,
 # 4e-12 at N = 16, no convergence at N = 30.  Above this order the
 # reciprocal kernel solves the degree-2N palindrome instead.
-_Y_MAX_ORDER = 8
+Y_MAX_ORDER = 8
+# A coefficient vector whose largest part leaves [2^-500, 2^500] is scaled by
+# a power of two, which is exact, before its monic ratios or circle values
+# are formed: complex division by 1e-320 overflows, and so do the circle
+# values of a quadratic with coefficients 1e308.
+_SCALE_EXPONENT = 500
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,16 @@ class RootSet:
         """Mahler measure |leading| * prod max(1, |root|) of the polynomial
         whose roots these are and whose top coefficient is leading."""
         return float(abs(leading) * np.prod(np.maximum(1.0, np.abs(self.roots))))
+
+
+def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(arr * 2^-e, e): e = 0 when the largest real or imaginary part of
+    arr is within 2^(+-_SCALE_EXPONENT), else its binary exponent."""
+    top = np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)))
+    e = math.frexp(float(top))[1]
+    if abs(e) <= _SCALE_EXPONENT:
+        return arr, 0
+    return np.ldexp(arr.real, -e) + 1j * np.ldexp(arr.imag, -e), e
 
 
 def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -215,6 +231,8 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     if arr.size == 1:
         raise ZeroPolynomial("a nonzero constant has no roots")
+    # the roots do not change with the scale
+    arr = _unit_scaled(arr)[0]
     # x^k divides the polynomial: its k roots are exactly 0, and the
     # normalized residual, 0/0 at a multiple zero root, is taken on the rest
     k = 0
@@ -266,16 +284,12 @@ def mahler_quadrature(coeffs, nodes: int = 4096) -> float:
     arr = np.asarray(coeffs, dtype=complex)
     if arr.ndim != 1 or arr.size == 0 or not np.any(arr != 0):
         raise ZeroPolynomial("Mahler measure of the zero polynomial")
+    arr, e = _unit_scaled(arr)
     t = (np.arange(nodes) + 0.5) / nodes
-    x = np.exp(2j * np.pi * t)
-    vals = np.zeros(nodes, dtype=complex)
-    for c in arr[::-1]:
-        vals *= x
-        vals += c
-    mags = np.abs(vals)
+    mags = np.abs(_horner_batch(arr[None, :], np.exp(2j * np.pi * t)[None, :])[0])
     if np.any(mags == 0.0):
         raise NodeOnZero("integrand vanished at a quadrature node")
-    return float(np.exp(np.mean(np.log(mags))))
+    return float(np.ldexp(np.exp(np.mean(np.log(mags))), e))
 
 
 def _pair_moduli(y: np.ndarray) -> np.ndarray:
@@ -301,7 +315,7 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots are
     closed form for N <= 2 (the quadratic in cancellation-free form) and
     come from aberth_batch at degree N up to N = 8; above that the
-    degree-2N palindrome x^N p_v is solved instead (see _Y_MAX_ORDER).
+    degree-2N palindrome x^N p_v is solved instead (see Y_MAX_ORDER).
     A row that fails the root solve or gives a non-finite measure, as one
     with v_N = 0 does, reports inf and converged False.
     """
@@ -309,8 +323,8 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     n = v.shape[1] - 1
     ok = np.ones(v.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n > _Y_MAX_ORDER:
-            x, _, ok = aberth_batch(np.concatenate([v[:, :0:-1], v], axis=1), tol)
+        if n > Y_MAX_ORDER:
+            x, _, ok = aberth_batch(lambda_embed(v), tol)
             moduli = np.maximum(1.0, np.abs(x))
         else:
             q = v @ pair_basis(n)

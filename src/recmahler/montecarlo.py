@@ -67,15 +67,6 @@ def bounding_radii(n_order: int, xi: float) -> np.ndarray:
     )
 
 
-def _volume_radii(n_order: int) -> np.ndarray:
-    """Disk radii containing {mu_rec <= 1} for v in C^{N+1} (monic bound 1
-    on the leading slot)."""
-    return np.array(
-        [math.comb(2 * n_order, n_order - n) for n in range(n_order + 1)],
-        dtype=float,
-    )
-
-
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     counter = np.zeros(4, dtype=np.uint64)
     counter[3] = np.uint64(chunk_index + 1)
@@ -110,13 +101,32 @@ def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):
     return hits, rejections
 
 
-def _estimate(
-    hits: int, rejections: int, samples: int, seed: int, volume: float
+def _box_estimate(
+    radii: np.ndarray,
+    lead: complex | None,
+    threshold: float,
+    samples: int,
+    seed: int,
+    workers: int,
 ) -> MCEstimate:
+    """Estimate of vol{v : mu_rec(v) <= threshold} from v uniform on the
+    product of disks with these radii, followed by the fixed leading
+    coefficient lead, or with v_N sampled by the last disk when lead is None.
+    """
+    volume = float(np.prod(np.pi * radii ** 2))
+
+    def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
+        v = _sample_disks(gen, count, radii)
+        if lead is not None:
+            v = np.concatenate([v, np.full((count, 1), lead, dtype=complex)], axis=1)
+        # a leading coefficient of exactly 0 (probability 0) scores as a
+        # rejection: the kernel reports its measure as not finite
+        meas, ok = mu_rec_batch(v, _ROOT_TOL)
+        return int(np.count_nonzero(meas <= threshold)), int(np.count_nonzero(~ok))
+
+    hits, rejections = _run_chunks(samples, seed, workers, chunk)
     if rejections > _REJECTION_CAP * samples:
-        raise NoConvergence(
-            f"{rejections} of {samples} samples failed the root solve"
-        )
+        raise NoConvergence(f"{rejections} of {samples} samples failed the root solve")
     p = hits / samples
     return MCEstimate(
         mean=volume * p,
@@ -138,17 +148,7 @@ def mc_hN(
     """Monte Carlo estimate of the distribution value h_N(xi)."""
     if samples < 10_000:
         raise ValueError("at least 10^4 samples required")
-    radii = bounding_radii(n_order, xi)
-    volume = float(np.prod(np.pi * radii ** 2))
-
-    def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
-        b = _sample_disks(gen, count, radii)
-        v = np.concatenate([b, np.ones((count, 1), dtype=complex)], axis=1)
-        meas, ok = mu_rec_batch(v, _ROOT_TOL)
-        return int(np.count_nonzero(meas <= xi)), int(np.count_nonzero(~ok))
-
-    hits, rejections = _run_chunks(samples, seed, workers, chunk)
-    return _estimate(hits, rejections, samples, seed, volume)
+    return _box_estimate(bounding_radii(n_order, xi), 1.0, xi, samples, seed, workers)
 
 
 def mc_volume(
@@ -157,17 +157,9 @@ def mc_volume(
     seed: int = 0,
     workers: int = 1,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the volume of {mu_rec <= 1} in C^{N+1}."""
+    """Monte Carlo estimate of the volume of {mu_rec <= 1} in C^{N+1}, on
+    the box bounding_radii(N, 1) with a sampled leading slot of radius 1."""
     if samples < 10_000:
         raise ValueError("at least 10^4 samples required")
-    radii = _volume_radii(n_order)
-    volume = float(np.prod(np.pi * radii ** 2))
-
-    def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
-        # a leading coefficient of exactly 0 (probability 0) scores as a
-        # rejection: the kernel reports its measure as not finite
-        meas, ok = mu_rec_batch(_sample_disks(gen, count, radii), _ROOT_TOL)
-        return int(np.count_nonzero(meas <= 1.0)), int(np.count_nonzero(~ok))
-
-    hits, rejections = _run_chunks(samples, seed, workers, chunk)
-    return _estimate(hits, rejections, samples, seed, volume)
+    radii = np.append(bounding_radii(n_order, 1.0), 1.0)
+    return _box_estimate(radii, None, 1.0, samples, seed, workers)

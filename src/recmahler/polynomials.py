@@ -104,31 +104,19 @@ def eval_recip(p: RecipLaurent | MonicRecip, x: complex) -> complex:
 def monic_to_poly(p: MonicRecip) -> np.ndarray:
     """Ascending coefficients of x^N * p~_b(x): a degree-2N palindrome with
     leading and constant coefficient exactly 1."""
-    n = p.order
-    out = np.zeros(2 * n + 1, dtype=complex)
-    out[0] = 1.0
-    out[2 * n] = 1.0
-    out[n] = p.b[0]
-    for k in range(1, n):
-        out[n + k] = p.b[k]
-        out[n - k] = p.b[k]
-    return out
+    return lambda_embed(np.append(p.b, 1.0))
 
 
-def lambda_embed(p: RecipLaurent) -> np.ndarray:
-    """Ascending coefficients of x^N * p_v(x).
+def lambda_embed(p: RecipLaurent | np.ndarray) -> np.ndarray:
+    """Ascending coefficients of x^N * p_v(x), for one v or a (..., N+1)
+    array of them along the last axis.
 
     The result is the palindrome (v_N, ..., v_1, v_0, v_1, ..., v_N); its
     Mahler measure equals the measure of the Laurent form exactly, which is
     the property the measure module relies on.
     """
-    n = p.order
-    out = np.empty(2 * n + 1, dtype=complex)
-    out[n] = p.v[0]
-    for k in range(1, n + 1):
-        out[n + k] = p.v[k]
-        out[n - k] = p.v[k]
-    return out
+    v = p.v if isinstance(p, RecipLaurent) else np.asarray(p, dtype=complex)
+    return np.concatenate([v[..., :0:-1], v], axis=-1)
 
 
 def from_roots(alpha: RootVec | np.ndarray) -> MonicRecip:

@@ -77,10 +77,10 @@ from .errors import (
 from .exact import (
     LaurentPi,
     PiScaled,
-    PolyQ,
     RatFunPi,
-    RatFunQ,
+    _ratfun_from_ints,
     int_poly_from_roots,
+    laurent_from_poles,
     ratfun_from_poles,
     ratfun_product_from_poles,
 )
@@ -101,8 +101,10 @@ def coeff_c(n: int, j: int) -> int:
 
 
 def d_term(n: int) -> RatFunPi:
-    """Diagonal kernel factor 2*pi*s / (s^2 - n^2)."""
-    return RatFunPi.from_coeffs(1, (0, 2), (-n * n, 0, 1))
+    """Diagonal kernel factor 2*pi*s / (s^2 - n^2), n >= 1."""
+    if n < 1:
+        raise IndexOutOfRange("d_n needs n >= 1")
+    return ratfun_from_poles(1, _d_residues(n))
 
 
 @dataclass(frozen=True)
@@ -204,18 +206,11 @@ def i_matrix(n_order: int) -> IMatrix:
 
 def hJK_closed(j: int, k: int) -> LaurentPi:
     """Radial form of the (J, K) moment:
-    2*pi * sum_n c_n(J) c_n(K) (r^{2n} + r^{-2n}); zero off parity."""
+    2*pi * sum_n c_n(J) c_n(K) (r^{2n} + r^{-2n}); zero off parity.
+    It is the inverse Mellin image of i_entry(J, K)."""
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
-    coeffs: dict[int, Fraction] = {}
-    for n in range(1, min(j, k) + 1):
-        w = coeff_c(n, j) * coeff_c(n, k)
-        if w:
-            coeffs[2 * n] = Fraction(2 * w)
-            coeffs[-2 * n] = Fraction(2 * w)
-    if not coeffs:
-        return LaurentPi.zero()
-    return LaurentPi(1, coeffs)
+    return laurent_from_poles(1, _entry_residues(j, k))
 
 
 def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
@@ -408,13 +403,7 @@ def _power_over_pairs(n_order: int, power: int) -> RatFunPi:
     den = [0] * (2 * len(in_sq) - 1)
     den[::2] = in_sq
     num = [0] * power + [2 ** power]
-    return RatFunPi(
-        n_order,
-        RatFunQ(
-            PolyQ(tuple(Fraction(c) for c in num)),
-            PolyQ(tuple(Fraction(c) for c in den)),
-        ),
-    )
+    return _ratfun_from_ints(n_order, num, 1, den)
 
 
 def h_product(n_order: int) -> RatFunPi:
@@ -447,16 +436,16 @@ def h_closed(n_order: int) -> LaurentPi:
 
         h_N(xi) = sum_n 2 rho(n) (xi^{2n} + (-1)^N xi^{-2n}),
 
-    a Laurent polynomial of grade pi^N that vanishes at xi = 1."""
+    a Laurent polynomial of grade pi^N that vanishes at xi = 1: the
+    inverse Mellin image of hhat_N's residues rho(n) and rho(-n)."""
     if n_order < 1:
         raise IndexOutOfRange("order must be at least 1")
     sign = (-1) ** n_order
-    coeffs: dict[int, Fraction] = {}
+    residues: dict[int, Fraction] = {}
     for n in range(1, n_order + 1):
-        c = 2 * rho(n_order, n).coeff
-        coeffs[2 * n] = c
-        coeffs[-2 * n] = sign * c
-    return LaurentPi(n_order, coeffs)
+        r = rho(n_order, n).coeff
+        residues[n], residues[-n] = r, sign * r
+    return laurent_from_poles(n_order, residues)
 
 
 def h_eval(n_order: int, xi: float, pi_value: float = math.pi) -> float:

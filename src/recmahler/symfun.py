@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, StepTooLarge, ZeroRoot
+from .polynomials import from_roots
 
 
 def _elem_all(values: Sequence):
@@ -78,9 +79,6 @@ def epsilon_via_e(n_order: int, n: int, beta: Sequence):
     for m in range(0, n // 2 + 1):
         term = math.comb(big_n - n + 2 * m, m) * e[n - 2 * m]
         acc = term if acc is None else acc + term
-    if acc is None:
-        # n == 0 still enters the loop once; this is only for safety
-        acc = e[0]
     return acc
 
 
@@ -139,8 +137,6 @@ def jacobian_real_factor(alpha) -> float:
 
 def coefficient_map(alpha) -> np.ndarray:
     """The map under test: alpha -> (b_0, ..., b_{N-1}) of the monic form."""
-    from .polynomials import from_roots
-
     return from_roots(np.asarray(alpha, dtype=complex)).b
 
 

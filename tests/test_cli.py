@@ -319,6 +319,13 @@ GOLDEN = {
     ("rank-one", "--N", "8"): "329baaee724d076cd646fab6d680c77ea7539dc0e866c71bf71b9e52a7ec6a32",
     ("rank-one", "--N", "20"): "c3ba716112cac267d7a88eb76e3b9084f79c4525636df7b32dee3c2d3cd94ebf",
     ("rank-one", "--N", "64"): "d6036268aca884dc671778f96be41d04cd58cb5c89899b9d5d47fe2692c96777",
+    ("verify-entries", "--J", "3", "--K", "5"): "2034f19200bf89af333c93eacd82db6e3afaafa822d9079fa7046a9887cd8084",
+    ("table", "--N", "8"): "acbee2b846b8bdcf5cbf0bf6323ae17b4bd50967dd6bb692678425f15a64efd3",
+    ("jacobian-test", "--N", "3", "--points", "5", "--seed", "7"): "0f617633893970267ca1327a894f449272ccdeb453882afdebc1dfb830c18a3b",
+    ("mc", "--mode", "volume", "--N", "2", "--samples", "70000", "--seed", "3", "--workers", "2"): "1a11071ecf94b01fa09be3ab013026ff81f0a3f8d4ad34df40988a4c6462c462",
+    ("mc", "--mode", "hn", "--N", "2", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "fafcc30960011a494e19ed0059e255c6b3ea44f4eadad0a7116834e8dd4a61da",
+    ("measure", "--coeffs", "[1,-2,3.5,0.25,2]"): "99b1a855a3184b63ca78661ccd5574a616fa051ff54be076c2258fb0c8a0fad6",
+    ("measure", "--coeffs", "[[1,0.5],[0,-1],[2,0],[0.5,0.5],[-1,0],[3,1],[0.25,0],[1,-1],[0,2],[-0.5,0],[1.5,0],[0,0.75],[2,-1]]"): "037831f7eeaea709022bf0cb8b8e96941e36e162d2f0e029c0f28446788779e2",
 }
 
 
@@ -341,6 +348,17 @@ def test_order_above_the_cap_exits_two(capsys, command):
     assert code == 2
     assert out == ""
     assert err == f"error: --N {cap + 1} is above the cap of {cap} for {command}\n"
+
+
+@pytest.mark.parametrize("flag", ["--J", "--K"])
+def test_entry_index_above_the_cap_exits_two(capsys, flag):
+    cap = cli.ENTRY_INDEX_CAP
+    indices = {"--J": "3", "--K": "3", flag: str(cap + 1)}
+    argv = ["verify-entries"] + [x for pair in indices.items() for x in pair]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {cap + 1} is above the cap of {cap} for verify-entries\n"
 
 
 @pytest.mark.parametrize("command", ["volume", "verify-det", "rank-one"])
@@ -373,6 +391,21 @@ def test_overflowing_coefficient_ratio_exits_three(capsys, coeffs, ratio):
     assert code == 3
     assert out == ""
     assert err == f"error: coefficient ratio {ratio} overflows a double\n"
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-320])
+def test_measure_at_extreme_coefficient_scales(capsys, scale):
+    """1 + x + x^2 times scale has measure scale: the circle values of the
+    1e308 vector overflowed, and 1e-320 / 1e-320 overflowed in the monic
+    ratios, though both measures are finite doubles."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, ["measure", "--coeffs", json.dumps([scale] * 3)])
+    assert code == 0
+    assert err == ""
+    rep = json.loads(out, parse_constant=_no_constants)
+    for route in ("mahler_from_roots", "mahler_quadrature"):
+        assert rep["numeric_results"][route] == pytest.approx(scale, rel=1e-6)
 
 
 def test_no_convergence_exits_three(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from recmahler.exact import (
     RatFunPi,
     RatFunQ,
     laurent_from_map,
+    laurent_from_poles,
     laurent_mellin,
     laurent_to_map,
     parse_pi_scaled,
@@ -437,6 +438,13 @@ even_laurents = st.dictionaries(
     values=rationals,
     max_size=4,
 ).map(lambda d: LaurentPi(1, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_laurents)
+def test_laurent_from_poles_inverts_mellin(g):
+    residues = {n: r.coeff for n, r in partial_fractions(laurent_mellin(g)).items()}
+    assert laurent_from_poles(g.pi_power, residues) == g
 
 
 @settings(max_examples=60, deadline=None)

@@ -82,6 +82,13 @@ def test_lambda_embed_frozen_and_palindrome():
     assert np.array_equal(out, out[::-1])
 
 
+def test_lambda_embed_takes_a_batch_of_rows():
+    rng = np.random.default_rng(15)
+    v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    rows = [lambda_embed(RecipLaurent(row)) for row in v]
+    assert np.array_equal(lambda_embed(v), np.array(rows))
+
+
 def test_embeddings_match_laurent_values():
     """x^N * (Laurent value) equals the plain polynomial value."""
     rng = np.random.default_rng(13)

@@ -81,6 +81,14 @@ def test_coeff_c_range_errors():
         coeff_c(1, 0)
 
 
+def test_d_term_frozen_and_range():
+    for n in range(1, 10):
+        assert d_term(n) == RatFunPi.from_coeffs(1, (0, 2), (-n * n, 0, 1))
+    # 2 pi s / s^2 has no simple pole at 0 of the diagonal's form
+    with pytest.raises(IndexOutOfRange):
+        d_term(0)
+
+
 def test_c_matrix_validates():
     for n in range(1, 9):
         c_matrix(n).validate()
