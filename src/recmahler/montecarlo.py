@@ -10,7 +10,8 @@ distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
 Each sampled vector v = (v_0, ..., v_N) goes straight to
 measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
-roots for N <= 2, a degree-N root solve above.
+roots for N <= 2, and above that a degree-N Aberth solve, which at N = 3
+starts from Cardano's roots and stops after one sweep.
 
 Reproducibility: draws come from the Philox counter-based generator, keyed
 by the user seed with the chunk index placed in the counter's top word.
@@ -74,10 +75,19 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray) -> np.ndarray:
-    """count x len(radii) complex points, uniform on each disk."""
+    """count x len(radii) complex points, uniform on each disk.
+
+    The bytes are those of radii * sqrt(u) * exp(2j * pi * w), built in
+    place, so the two draws and the result are the only full-size arrays.
+    """
     u = gen.random((count, radii.size))
     w = gen.random((count, radii.size))
-    return radii[None, :] * np.sqrt(u) * np.exp(2j * np.pi * w)
+    np.sqrt(u, out=u)
+    u *= radii
+    v = np.multiply(w, 2j * np.pi)
+    np.exp(v, out=v)
+    v *= u
+    return v
 
 
 def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):

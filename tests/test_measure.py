@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from recmahler import measure
+from recmahler import measure, montecarlo
 from recmahler.errors import (
     DegenerateLeadingCoefficient,
     NoConvergence,
@@ -386,3 +386,102 @@ def test_mu_rec_batch_reports_unsolvable_rows(n_order):
     assert list(ok) == [False, False, False, True]
     assert list(meas[:3]) == [np.inf] * 3
     assert meas[3] == pytest.approx(mu_rec(v[3]), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the N = 3 kernel starts Aberth from Cardano's roots
+
+
+def circle_started(monkeypatch):
+    """mu_rec_batch with every cubic batch started on the Cauchy circle."""
+    monkeypatch.setattr(measure, "_cardano_start", lambda q: None)
+
+
+CARDANO_EDGE_ROWS = [
+    from_y_roots(1.0, [0.5, 0.5, 0.5])[0],  # exact triple roots: C = 0
+    from_y_roots(1.0, [3.0, 3.0, 3.0])[0],
+    from_y_roots(2.0, [1.0 + 1j] * 3)[0],
+    from_y_roots(1.0, [3.0, 3.0, 0.5j])[0],  # repeated pairs
+    from_y_roots(1.0, [2.5 + 1j, 2.5 + 1j, -4.0])[0],
+    from_y_roots(0.5, [-2.0, -2.0, 1.0])[0],
+    np.array([1.0, 2.0, 3.0, 0.0]),  # v_N = 0
+    np.array([np.nan, 1.0, 2.0, 1.0]),
+    np.array([1.0, 1.0j, np.nan, 1.0]),
+    1e150 * from_y_roots(1.0, [2.5, -3.0, 1j])[0],
+    1e-150 * from_y_roots(1.0, [2.5, -3.0, 1j])[0],
+    np.array([1.0, 1.0, 1.0, 1e-150]),
+    from_y_roots(1.5j, [2.0, -1.9, 0.3])[0],
+    from_y_roots(1.0, [1.3, -1.3, 0.2])[0],  # all roots on the unit circle
+]
+
+
+def test_cardano_start_keeps_the_circle_start_results_on_edge_rows(monkeypatch):
+    v = np.array(CARDANO_EDGE_ROWS)
+    meas, ok = mu_rec_batch(v)
+    circle_started(monkeypatch)
+    ref, ref_ok = mu_rec_batch(v)
+    assert list(ok) == list(ref_ok)
+    assert list(ok[6:9]) == [False] * 3 and list(ok[9:11]) == [True] * 2
+    # a repeated root is good to about sqrt(eps) from either start
+    rtol = np.where(np.arange(len(v)) < 6, 1e-7, 1e-12)
+    assert np.all(np.abs(meas[ok] - ref[ok]) <= rtol[ok] * ref[ok])
+    assert np.array_equal(meas[~ok], ref[~ok])
+
+
+def sampled_cubics(count):
+    """count N = 3 rows as the h_3(1.5) Monte Carlo draws them."""
+    gen = montecarlo._chunk_generator(3, 0)
+    v = montecarlo._sample_disks(gen, count, montecarlo.bounding_radii(3, 1.5))
+    return np.concatenate([v, np.ones((count, 1))], axis=1)
+
+
+def test_cardano_start_agrees_with_the_circle_start_on_sampled_rows(monkeypatch):
+    v = sampled_cubics(1 << 12)
+    meas, ok = mu_rec_batch(v, 1e-9)
+    circle_started(monkeypatch)
+    ref, ref_ok = mu_rec_batch(v, 1e-9)
+    assert bool(np.all(ok)) and bool(np.all(ref_ok))
+    assert np.all(np.abs(meas - ref) <= 1e-12 * ref)
+
+
+def test_cardano_start_needs_one_aberth_sweep(monkeypatch):
+    """Each Aberth sweep evaluates p and p' once; the Newton polish takes 6
+    evaluations and the residual 2, so one sweep makes 10."""
+    v = sampled_cubics(1 << 12)
+    calls = []
+    horner = measure._horner_batch
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(measure, "_horner_batch", counted)
+    mu_rec_batch(v, 1e-9)
+    assert len(calls) <= 2 * 1 + 6 + 2
+    calls.clear()
+    circle_started(monkeypatch)
+    mu_rec_batch(v, 1e-9)
+    assert len(calls) > 2 * 3 + 6 + 2  # the circle start needs more
+
+
+@pytest.mark.parametrize(
+    "lead, ys",
+    [
+        (1.0, [0.0, 0.0, 2.5]),  # (x^2 + 1)^2 (x^2 - 2.5 x + 1), measure 2
+        (2.0, [0.0, 0.0, 0.0]),
+        (1.0, [0.0, 0.0, 0.0, 3.0]),
+        (0.5j, [0.0, 1.0 + 2j, 0.0, -3.0, 0.0]),
+    ],
+)
+def test_mu_rec_batch_splits_off_exact_zero_roots_of_q(lead, ys):
+    """A multiple root at 0 keeps the scale-free residual at 1 however
+    close the estimate, so y^k is split off as find_roots splits off x^k."""
+    v, expect = from_y_roots(lead, ys)
+    meas, ok = mu_rec_batch(np.stack([v, v + 1.0]))
+    assert bool(ok[0])
+    assert meas[0] == pytest.approx(expect, rel=1e-12)
+    assert meas[1] == pytest.approx(mu_rec(v + 1.0), rel=1e-15)
+
+
+def test_nu_rec_of_a_power_of_x_squared_plus_one():
+    assert nu_rec(np.array([0.0, 3.0, 0.0])) == pytest.approx(1.0, rel=1e-15)

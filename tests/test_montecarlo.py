@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from recmahler import montecarlo
+from recmahler import measure, montecarlo
 from recmahler.measure import mu_rec_batch
 from recmahler.montecarlo import (
     CHUNK,
@@ -19,6 +19,21 @@ from recmahler.montecarlo import (
     mc_volume,
 )
 from recmahler.spectral import h_eval, volume_exact
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+def test_sample_disks_bytes_match_the_formula():
+    radii = bounding_radii(3, 1.5)
+    v = _sample_disks(_chunk_generator(11, 2), 1000, radii)
+    gen = _chunk_generator(11, 2)
+    u = gen.random((1000, radii.size))
+    w = gen.random((1000, radii.size))
+    expect = radii * np.sqrt(u) * np.exp(2j * np.pi * w)
+    assert v.dtype == expect.dtype and v.shape == expect.shape
+    assert v.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +209,21 @@ def test_three_sigma_coverage_over_replications():
             if abs(est.mean - target) <= 3.0 * est.std_error:
                 good += 1
         assert good >= 99
+
+
+def test_cardano_start_keeps_the_order_three_tallies(monkeypatch):
+    """The N = 3 box sampler scores no hit at these sizes, so the tallies
+    are also taken at thresholds that a fair share of the samples meet."""
+    radii = bounding_radii(3, 1.5)
+    vol_radii = np.append(bounding_radii(3, 1.0), 1.0)
+    runs = [
+        lambda: mc_hN(3, 1.5, 20_000, seed=5),
+        lambda: mc_volume(3, 20_000, seed=5),
+        lambda: montecarlo._box_estimate(radii, 1.0, 25.0, 20_000, 5, 1),
+        lambda: montecarlo._box_estimate(vol_radii, None, 16.0, 20_000, 5, 1),
+    ]
+    cardano = [run() for run in runs]
+    monkeypatch.setattr(measure, "_cardano_start", lambda q: None)
+    assert [run() for run in runs] == cardano
+    for est in cardano[2:]:
+        assert 0.1 < est.mean / est.region_volume < 0.9
