@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -88,16 +89,13 @@ def _parse_coeff_vector(text: str) -> np.ndarray:
         raise ValueError("expected a nonempty JSON array")
     out = []
     for item in data:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, (int, float)) for x in item)
-        ):
-            out.append(complex(item[0], item[1]))
-        else:
+        parts = item if isinstance(item, list) and len(item) == 2 else [item]
+        if not all(isinstance(x, (int, float)) for x in parts):
             raise ValueError(f"bad coefficient entry: {item!r}")
+        # json.loads accepts NaN, Infinity and integers beyond a double
+        if not all(abs(x) <= sys.float_info.max for x in parts):
+            raise ValueError(f"coefficient entry {item!r} is not a finite double")
+        out.append(complex(*parts))
     return np.asarray(out, dtype=complex)
 
 
@@ -106,6 +104,8 @@ def _parse_coeff_vector(text: str) -> np.ndarray:
 
 
 def _cmd_measure(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     if args.coeffs is not None:
         text = args.coeffs
     else:
@@ -273,6 +273,10 @@ def _cmd_rank_one(args) -> int:
 
 
 def _cmd_jacobian_test(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.step is not None and not 0 < args.step < math.inf:
+        raise ValueError(f"--step must be positive and finite, got {args.step:g}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
     n = args.N
     rows = []
@@ -410,9 +414,10 @@ N_CAPS = {
     "jacobian-test": 7,
 }
 
-# Largest J and K `verify-entries` accepts: its extended-precision quadrature
-# grows with J + K, and J = K = 60 takes about a second on 2 cores.
-ENTRY_INDEX_CAP = 60
+# Largest J and K `verify-entries` accepts: the r = 5 value of the (J, K)
+# entry overflows a double from J = K = 216, and J = K = 215 takes about
+# 0.05 s on 2 cores.
+ENTRY_INDEX_CAP = 215
 
 # Largest number of xi steps `table` accepts.
 TABLE_MAX_STEPS = 10**6
@@ -500,6 +505,9 @@ def run(argv) -> int:
         cap = N_CAPS.get(args.command)
         if cap is not None and args.N > cap:
             raise ValueError(f"--N {args.N} is above the cap of {cap} for {args.command}")
+        # mc and jacobian-test key a Philox generator with the seed
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise ValueError(f"--seed {args.seed} is outside [0, 2^64)")
         return args.fn(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ pi is never evaluated here; it rides along as an integer grade on otherwise
 rational data.  Sums therefore only make sense between values of the same
 grade (or with an exact zero), and mismatches raise GradeMismatch rather
 than silently coercing.  Numeric values enter only through the explicit
-evaluation helpers, which accept the caller's pi (float or mpmath.mpf).
+evaluation helpers, which use math.pi.
 
 The Mellin convention used throughout maps a Laurent monomial with even
 exponent e to the simple fraction (1/2) / (s - e/2):
@@ -114,9 +114,9 @@ class PiScaled:
             return PiScaled(self.coeff / other, self.pi_power)
         return NotImplemented
 
-    def to_float(self, pi_value: float = math.pi):
-        """Numeric value; pi_value may be a float or an mpmath.mpf."""
-        return pi_value ** self.pi_power * self.coeff
+    def to_float(self) -> float:
+        """Numeric value, with pi as math.pi."""
+        return math.pi ** self.pi_power * self.coeff
 
     def __str__(self) -> str:
         c = self.coeff
@@ -490,13 +490,10 @@ class RatFunPi:
         return f"pi^{self.pi_power} * {self.fun}"
 
 
-def ratfun_eval(f: RatFunPi, s0, pi_value=math.pi):
-    """Numeric value of f at rational s0: exact core times pi_value^grade.
-
-    pi_value may be float or mpmath.mpf; the result follows that type.
-    """
+def ratfun_eval(f: RatFunPi, s0) -> float:
+    """Numeric value of f at rational s0: exact core times math.pi^grade."""
     val = f.fun.eval(s0)
-    return pi_value ** f.pi_power * val
+    return math.pi ** f.pi_power * val
 
 
 def ratfun_eval_exact(f: RatFunPi, s0) -> PiScaled:
@@ -614,7 +611,7 @@ class LaurentPi:
         """value_at_one's rational part as a float, summed once per object."""
         return float(self.value_at_one().coeff)
 
-    def eval(self, x: float, pi_value: float = math.pi) -> float:
+    def eval(self, x: float) -> float:
         """Numeric value at x > 0.
 
         Evaluated as value_at_one + sum c_e (x^e - 1): the constant part is
@@ -628,7 +625,7 @@ class LaurentPi:
         acc = self._float_at_one
         for e, c in self.coeffs.items():
             acc += float(c) * (x ** e - 1.0)
-        return acc * pi_value ** self.pi_power
+        return acc * math.pi ** self.pi_power
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -62,6 +62,8 @@ def bounding_radii(n_order: int, xi: float) -> np.ndarray:
         raise ValueError("order must be at least 1")
     if not (xi >= 1.0):
         raise ValueError("threshold below the support edge xi = 1")
+    if xi == math.inf:
+        raise ValueError("threshold must be finite")
     return np.array(
         [math.comb(2 * n_order, n_order - n) * xi for n in range(n_order)],
         dtype=float,

@@ -135,8 +135,6 @@ def from_roots(alpha: RootVec | np.ndarray) -> MonicRecip:
     for a in alpha.alpha:
         beta = a + 1.0 / a
         coeffs = np.convolve(coeffs, np.array([1.0, beta, 1.0]))
-    # coeffs is descending-from-x^{2N} or ascending? np.convolve of ascending
-    # sequences stays ascending: [1, beta, 1] is (1 + beta x + x^2).
     return MonicRecip(coeffs[n : 2 * n].copy())
 
 

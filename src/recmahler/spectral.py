@@ -15,6 +15,8 @@ The central objects, all exact:
 * i_entry(J, K) = pi * sum_n c_n(J) c_n(K) * 2s/(s^2 - n^2): the (J, K)
   moment of the two-sided radial kernel, a rational function of s with one
   grade of pi.
+  Its inverse Mellin image hJK_closed is checked against hJK_quadrature,
+  the circle integral's exact trapezoid sum: a constant term in integers.
 
 * det of the N x N moment matrix equals prod_{n<=N} 2*pi*s/(s^2 - n^2)
   exactly; h_product builds that product, and det_residue_maps recomputes
@@ -65,8 +67,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
-
-import mpmath
 
 from .errors import (
     DimensionTooLarge,
@@ -213,34 +213,38 @@ def hJK_closed(j: int, k: int) -> LaurentPi:
     return laurent_from_poles(1, _entry_residues(j, k))
 
 
-def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
-    """Same moment by direct trapezoid integration over the circle.
+def _odd_binomial_terms(d: int) -> dict[int, int]:
+    """Exponent -> coefficient of (w - 1/w)(w + 1/w)^{d-1}: the binomial
+    row of d - 1 convolved with (1, -1)."""
+    row = [math.comb(d - 1, i) for i in range(d)]
+    return {d - 2 * i: hi - lo for i, (hi, lo) in enumerate(zip(row + [0], [0] + row))}
 
-    The integrand is a Laurent polynomial in e^{i theta} of degree J + K,
-    so any node count above 2(J + K) integrates it exactly; the arithmetic
-    runs in extended precision because the result can be a perfect
-    cancellation (off-parity pairs), which doubles would only reach to
-    their own rounding level, not to the comparison tolerances used here.
+
+# pi * 2^126 rounded to an integer: a rational pi within 2^-126 of pi
+_PI_128 = Fraction(0xC90FDAA22168C234C4C6628B80DC1CD1, 1 << 126)
+
+
+def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
+    """Same moment as the trapezoid sum over `nodes` points of the circle.
+
+    The integrand (rz - 1/(rz))(r/z - z/r)(rz + 1/(rz))^{J-1}(r/z + z/r)^{K-1}
+    is a Laurent polynomial in z of degree J + K, so on more than 2(J + K)
+    nodes the sum is its constant term: built here by binomial convolution,
+    without coeff_c, evaluated exactly at the dyadic Fraction(r) with pi to
+    128 bits, and rounded once.  Off-parity pairs give exactly 0.0.
     """
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
     if nodes <= 2 * (j + k):
         raise ValueError(f"need more than {2 * (j + k)} nodes")
-    if not (r > 0):
-        raise ValueError("radius must be positive")
-    with mpmath.workdps(40 + 2 * (j + k)):
-        rr = mpmath.mpf(r)
-        total = mpmath.mpc(0)
-        for idx in range(nodes):
-            z = mpmath.expjpi(mpmath.mpf(2 * idx) / nodes)
-            w = rr * z
-            a = w - 1 / w
-            b = rr / z - z / rr
-            f1 = w + 1 / w
-            f2 = rr / z + z / rr
-            total += a * b * f1 ** (j - 1) * f2 ** (k - 1)
-        value = 2 * mpmath.pi * total / nodes
-        return float(mpmath.re(value))
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
+    a, b = _odd_binomial_terms(j), _odd_binomial_terms(k)
+    x = Fraction(r) ** 2
+    p, q, m = x.numerator, x.denominator, min(j, k)
+    # (rz)^e (r/z)^e = (p/q)^e, an integer times (pq)^-m: one gcd in all
+    total = sum(c * b[e] * p ** (m + e) * q ** (m - e) for e, c in a.items() if e in b)
+    return float(2 * _PI_128 * Fraction(total, (p * q) ** m))
 
 
 # ---------------------------------------------------------------------------
@@ -448,29 +452,31 @@ def h_closed(n_order: int) -> LaurentPi:
     return laurent_from_poles(n_order, residues)
 
 
-def h_eval(n_order: int, xi: float, pi_value: float = math.pi) -> float:
+def h_eval(n_order: int, xi: float) -> float:
     """Numeric distribution value; 0 below the support edge xi = 1.
 
     Uses the anchored Laurent evaluation, so h_eval(N, 1.0) is exactly 0.0
     and the grid monotonicity checks are not fighting cancellation noise.
     """
-    return h_values(n_order, [xi], pi_value)[0]
+    return h_values(n_order, [xi])[0]
 
 
-def h_values(n_order: int, xis, pi_value: float = math.pi) -> list[float]:
+def h_values(n_order: int, xis) -> list[float]:
     """h_eval at each xi in turn, building h_closed(N) once.
 
-    Raises EvaluationOverflow when a value, or a term of its sum, overflows
-    a double.
+    Raises ValueError for a non-finite xi, and EvaluationOverflow when a
+    value, or a term of its sum, overflows a double.
     """
     h = h_closed(n_order)
     out = []
     for xi in xis:
+        if not math.isfinite(xi):
+            raise ValueError(f"xi must be finite, got {xi}")
         if xi < 1.0:
             out.append(0.0)
             continue
         try:
-            out.append(h.eval(float(xi), pi_value))
+            out.append(h.eval(float(xi)))
         except OverflowError:
             raise EvaluationOverflow(
                 f"h_N(xi) at N = {n_order}, xi = {xi:.15g} overflows a double"

@@ -4,12 +4,17 @@ codes, and byte-identical reruns."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recmahler
 from recmahler import cli, measure, spectral
 from recmahler.cli import N_CAPS, run
 from recmahler.errors import NoConvergence
@@ -361,6 +366,15 @@ def test_entry_index_above_the_cap_exits_two(capsys, flag):
     assert err == f"error: {flag} {cap + 1} is above the cap of {cap} for verify-entries\n"
 
 
+def test_entry_index_at_the_cap_passes(capsys):
+    cap = str(cli.ENTRY_INDEX_CAP)
+    code, out, _ = invoke(capsys, ["verify-entries", "--J", cap, "--K", cap])
+    rep = json.loads(out, parse_constant=_no_constants)
+    assert code == 0
+    for row in rep["numeric_results"]["grid"]:
+        assert math.isfinite(row["closed"]) and math.isfinite(row["quadrature"])
+
+
 @pytest.mark.parametrize("command", ["volume", "verify-det", "rank-one"])
 def test_order_at_the_cap_passes(capsys, command):
     """volume's float value overflowed above N = 617 before the cap."""
@@ -408,6 +422,37 @@ def test_measure_at_extreme_coefficient_scales(capsys, scale):
         assert rep["numeric_results"][route] == pytest.approx(scale, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hn", "--N", "2", "--xi", "inf"],
+        ["hn", "--N", "2", "--xi", "nan"],
+        ["mc", "--mode", "hn", "--N", "2", "--xi", "inf", "--samples", "10000"],
+        ["measure", "--coeffs", "[1, NaN]"],
+        ["measure", "--coeffs", "[1, [0, -Infinity]]"],
+        ["measure", "--coeffs", "[1, 1e400]"],
+        ["measure", "--coeffs", "[1, " + "9" * 400 + "]"],
+        ["measure", "--coeffs", "[1, 2]", "--tol", "nan"],
+        ["measure", "--coeffs", "[1, 2]", "--tol", "-1"],
+        ["measure", "--coeffs", "[1, 2]", "--tol", "inf"],
+        ["jacobian-test", "--N", "2", "--step", "nan"],
+        ["jacobian-test", "--N", "2", "--step", "0"],
+        ["jacobian-test", "--points", "-3"],
+        ["jacobian-test", "--points", "0"],
+        ["jacobian-test", "--seed", "-1"],
+        ["mc", "--mode", "volume", "--N", "1", "--seed", str(2**64)],
+    ],
+)
+def test_non_finite_or_out_of_range_arguments_exit_two(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_no_convergence_exits_three(capsys, monkeypatch):
     def stalled(coeffs, tol):
         raise NoConvergence("residual 1.0e-03 above tolerance 1.0e-10")
@@ -451,6 +496,17 @@ def test_floats_are_printed_at_15_digits(capsys):
     _, rep, _ = invoke_json(capsys, ["volume", "--N", "1"])
     val = rep["numeric_results"]["volume"]
     assert val == float(f"{2 / 3 * math.pi ** 2:.15g}")
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    """numpy is the only runtime dependency: mpmath serves the tests alone."""
+    src = Path(recmahler.__file__).resolve().parent.parent
+    code = "import sys, recmahler, recmahler.cli; assert 'mpmath' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_command_exits_two(capsys):

@@ -90,7 +90,6 @@ def test_pi_scaled_division_by_zero():
 def test_pi_scaled_to_float():
     v = PiScaled(F(2, 3), 2)
     assert v.to_float() == pytest.approx(2 / 3 * math.pi ** 2, rel=1e-15)
-    assert v.to_float(pi_value=1.0) == pytest.approx(2 / 3, rel=1e-15)
 
 
 def test_pi_scaled_str_parse_round_trip():

@@ -1,14 +1,16 @@
 """Spectral layer: expansion coefficients, moment matrix, determinant forms,
 residues, the closed distribution, volume, and the rank-one kernel identity.
 
-The quadrature oracle for single entries runs in extended precision, so the
-off-parity entries (which are exact zeros) can be checked to far below
-double rounding instead of hiding behind a loose tolerance.
+The quadrature oracle for single entries sums its trapezoid rule exactly, as
+a constant term, so the off-parity entries (which are exact zeros) come out
+as 0.0 instead of hiding behind a loose tolerance.  The extended-precision
+trapezoid sum it reproduces bit for bit is kept here as its reference.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,55 @@ def test_hjk_quadrature_preconditions():
         hJK_quadrature(1, 1, -1.0, 32)
     with pytest.raises(IndexOutOfRange):
         hJK_quadrature(0, 1, 1.0, 32)
+
+
+RADII = (1.0, 1.1, 2.0, 5.0)
+
+
+def _mpmath_trapezoid(j, k, r, nodes):
+    """The trapezoid sum over `nodes` points of the circle, at 40 + 2(J + K)
+    digits, rounded to a float once."""
+    with mpmath.workdps(40 + 2 * (j + k)):
+        rr = mpmath.mpf(r)
+        total = mpmath.mpc(0)
+        for idx in range(nodes):
+            z = mpmath.expjpi(mpmath.mpf(2 * idx) / nodes)
+            w = rr * z
+            a = w - 1 / w
+            b = rr / z - z / rr
+            f1 = w + 1 / w
+            f2 = rr / z + z / rr
+            total += a * b * f1 ** (j - 1) * f2 ** (k - 1)
+        value = 2 * mpmath.pi * total / nodes
+        return float(mpmath.re(value))
+
+
+def test_hjk_quadrature_is_the_extended_precision_trapezoid_bit_for_bit():
+    for j in range(1, 9):
+        for k in range(2 - j % 2, 9, 2):
+            nodes = 4 * (j + k) + 16
+            for r in RADII:
+                assert hJK_quadrature(j, k, r, nodes) == _mpmath_trapezoid(j, k, r, nodes)
+
+
+def test_hjk_quadrature_is_exactly_zero_off_parity():
+    for j in range(1, 9):
+        for k in range(1 + j % 2, 9, 2):
+            for r in RADII:
+                assert hJK_quadrature(j, k, r, 4 * (j + k) + 16) == 0.0
+
+
+def test_hjk_quadrature_pi_is_within_2_to_the_minus_126():
+    pi = spectral._PI_128
+    with mpmath.workdps(80):
+        gap = abs(mpmath.mpf(pi.numerator) / pi.denominator - mpmath.pi)
+        assert gap <= mpmath.mpf(2) ** -126
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_hjk_quadrature_rejects_a_non_finite_radius(r):
+    with pytest.raises(ValueError):
+        hJK_quadrature(1, 1, r, 32)
 
 
 # ---------------------------------------------------------------------------
