@@ -13,13 +13,14 @@ are byte-identical: nothing in here depends on time, machine, or dict
 iteration happenstance.
 
 Exit status: 0 when every check passed, 1 when any check failed, 2 for
-malformed arguments (an order N above its subcommand's cap in N_CAPS, or a
-verify-entries index above ENTRY_INDEX_CAP, among them), 3 when a
-computation on valid input failed (a root solve that did not converge or
-whose coefficient ratio c_j/c_d overflows a double, a quadrature node on a
-zero of the integrand, an elimination step that would leave pole form, a
-float value of h_N(xi) that overflows a double).  Exits 2 and 3 print one
-`error:` line to stderr.
+malformed arguments (among them a flag above its cap in _CAPS: an order N
+above N_CAPS, a verify-entries index above ENTRY_INDEX_CAP, a measure
+--nodes above NODES_CAP), 3 when a computation on valid input failed (a
+root solve that did not converge or whose coefficient ratio c_j/c_d
+overflows a double, a quadrature node on a zero of the integrand, an
+elimination step that would leave pole form, a float value of h_N(xi) or
+of a Monte Carlo box volume that overflows a double).  Exits 2 and 3 print
+one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -78,7 +79,20 @@ def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
-def _emit(report: dict) -> int:
+def _emit(args, sections: dict) -> int:
+    """Print the report of a subcommand and return its exit status.
+
+    sections holds the report keys the handler computed.  Any other key
+    keeps its default: the parsed flags as inputs, empty results and checks.
+    """
+    report = {
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in ("command", "fn")},
+        "exact_results": {},
+        "numeric_results": {},
+        "checks": [],
+    }
+    report.update(sections)
     print(json.dumps(_fmt(report), indent=2))
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 
@@ -116,14 +130,12 @@ def _cmd_measure(args) -> int:
     by_roots = rs.mahler(coeffs[-1])
     by_quad = mahler_quadrature(coeffs, args.nodes)
     rel = abs(by_roots - by_quad) / max(by_roots, by_quad)
-    report = {
-        "command": "measure",
+    return _emit(args, {
         "inputs": {
             "coeffs": [[c.real, c.imag] for c in coeffs],
             "nodes": args.nodes,
             "tol": args.tol,
         },
-        "exact_results": {},
         "numeric_results": {
             "mahler_from_roots": by_roots,
             "mahler_quadrature": by_quad,
@@ -136,24 +148,18 @@ def _cmd_measure(args) -> int:
                 f"relative gap {rel:.3e}, tolerance 1e-06",
             )
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_hn(args) -> int:
     n = args.N
     h = h_closed(n)
     mellin = laurent_mellin(h)
-    hh = h_hat(n)
     at_one = h.value_at_one()
-    numeric = {
-        "coeffs": {str(e): t.to_float() for e, t in h.terms.items()},
-    }
+    numeric = {"coeffs": {str(e): t.to_float() for e, t in h.terms.items()}}
     if args.xi is not None:
         numeric["h_value"] = h_eval(n, args.xi)
-    report = {
-        "command": "hn",
-        "inputs": {"N": n, "xi": args.xi},
+    return _emit(args, {
         "exact_results": {
             "h_coeffs": {str(e): str(t) for e, t in h.terms.items()},
             "mellin_transform": ratfun_to_lists(mellin),
@@ -162,7 +168,7 @@ def _cmd_hn(args) -> int:
         "checks": [
             _check(
                 "mellin-consistency",
-                mellin == hh,
+                mellin == h_hat(n),
                 "Mellin image of the closed form equals H_N(s)/(2s), exact",
             ),
             _check(
@@ -171,17 +177,14 @@ def _cmd_hn(args) -> int:
                 f"h_N(1) = {at_one}, expected exact 0",
             ),
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_volume(args) -> int:
     n = args.N
     vol = volume_exact(n)
     via_mellin = ratfun_eval_exact(h_hat(n), Fraction(n + 1)) * PiScaled(Fraction(2), 1)
-    report = {
-        "command": "volume",
-        "inputs": {"N": n},
+    return _emit(args, {
         "exact_results": {"volume": str(vol)},
         "numeric_results": {"volume": vol.to_float()},
         "checks": [
@@ -191,8 +194,7 @@ def _cmd_volume(args) -> int:
                 "2 pi hhat_N(N+1) equals the closed product form, exact",
             )
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_verify_det(args) -> int:
@@ -201,14 +203,11 @@ def _cmd_verify_det(args) -> int:
     prod = h_product(n)
     ok = det == prod
     det_lists = ratfun_to_lists(det)
-    report = {
-        "command": "verify-det",
-        "inputs": {"N": n},
+    return _emit(args, {
         "exact_results": {
             "determinant": det_lists,
             "product_form": det_lists if ok else ratfun_to_lists(prod),
         },
-        "numeric_results": {},
         "checks": [
             _check(
                 "determinant-identity",
@@ -216,17 +215,11 @@ def _cmd_verify_det(args) -> int:
                 "det of the moment matrix equals prod 2 pi s/(s^2 - n^2), exact",
             )
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_verify_entries(args) -> int:
     j, k = args.J, args.K
-    for flag, value in (("J", j), ("K", k)):
-        if value > ENTRY_INDEX_CAP:
-            raise ValueError(
-                f"--{flag} {value} is above the cap of {ENTRY_INDEX_CAP} for verify-entries"
-            )
     nodes = 4 * (j + k) + 16
     closed = hJK_closed(j, k)
     radii = [1.0, 1.1, 2.0, 5.0]
@@ -241,8 +234,7 @@ def _cmd_verify_entries(args) -> int:
         ok = ok and gap <= tol
         worst = max(worst, gap / (1.0 + abs(cv)))
         rows.append({"r": r, "closed": cv, "quadrature": qv, "abs_gap": gap})
-    report = {
-        "command": "verify-entries",
+    return _emit(args, {
         "inputs": {"J": j, "K": k, "nodes": nodes},
         "exact_results": {"closed_form": laurent_to_map(closed)},
         "numeric_results": {"grid": rows},
@@ -253,23 +245,18 @@ def _cmd_verify_entries(args) -> int:
                 f"worst scaled gap {worst:.3e}, tolerance 1e-10 * (1 + |value|)",
             )
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_rank_one(args) -> int:
     rep = omega_psi_check(args.N)
-    report = {
-        "command": "rank-one",
-        "inputs": {"N": args.N},
+    return _emit(args, {
         "exact_results": {"psi": [str(x) for x in rep.psi]},
-        "numeric_results": {},
         "checks": [
             _check(name, ok, detail + " (tolerance: exact)")
             for name, ok, detail in rep.checks
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_jacobian_test(args) -> int:
@@ -294,23 +281,13 @@ def _cmd_jacobian_test(args) -> int:
         fd = float(np.linalg.det(jac))
         rel = abs(fd - formula) / abs(formula)
         ok_all = ok_all and rel <= 1e-5
-        rows.append(
-            {
-                "alpha": [[a.real, a.imag] for a in alpha],
-                "formula": formula,
-                "finite_difference": fd,
-                "rel_gap": rel,
-            }
-        )
-    report = {
-        "command": "jacobian-test",
-        "inputs": {
-            "N": n,
-            "points": args.points,
-            "seed": args.seed,
-            "step": args.step,
-        },
-        "exact_results": {},
+        rows.append({
+            "alpha": [[a.real, a.imag] for a in alpha],
+            "formula": formula,
+            "finite_difference": fd,
+            "rel_gap": rel,
+        })
+    return _emit(args, {
         "numeric_results": {"points": rows},
         "checks": [
             _check(
@@ -319,8 +296,7 @@ def _cmd_jacobian_test(args) -> int:
                 "finite differences vs closed determinant, tolerance 1e-05 relative",
             )
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_mc(args) -> int:
@@ -343,17 +319,7 @@ def _cmd_mc(args) -> int:
             f"no sample hit the target set in {est.samples} samples, so this "
             f"estimator cannot resolve {target_str} at N = {args.N}"
         )
-    report = {
-        "command": "mc",
-        "inputs": {
-            "mode": args.mode,
-            "N": args.N,
-            "xi": args.xi,
-            "samples": args.samples,
-            "seed": args.seed,
-            "workers": args.workers,
-        },
-        "exact_results": {},
+    return _emit(args, {
         "numeric_results": {
             "estimate": {
                 "mean": est.mean,
@@ -369,8 +335,7 @@ def _cmd_mc(args) -> int:
         "checks": [
             _check("within-3-sigma", z is not None and abs(z) <= 3.0, detail)
         ],
-    }
-    return _emit(report)
+    })
 
 
 def _cmd_table(args) -> int:
@@ -419,8 +384,17 @@ N_CAPS = {
 # 0.05 s on 2 cores.
 ENTRY_INDEX_CAP = 215
 
+# Largest --nodes `measure` accepts: 2^22 nodes take 0.34-0.40 s and 193 MB
+# peak RSS on 2 cores (the default 4096 takes 33 MB), about 40 bytes a node.
+NODES_CAP = 1 << 22
+
 # Largest number of xi steps `table` accepts.
 TABLE_MAX_STEPS = 10**6
+
+# Every capped flag, by subcommand; run() checks them in this order.
+_CAPS = {command: {"N": cap} for command, cap in N_CAPS.items()}
+_CAPS["verify-entries"] = {"J": ENTRY_INDEX_CAP, "K": ENTRY_INDEX_CAP}
+_CAPS["measure"] = {"nodes": NODES_CAP}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,9 +476,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cap = N_CAPS.get(args.command)
-        if cap is not None and args.N > cap:
-            raise ValueError(f"--N {args.N} is above the cap of {cap} for {args.command}")
+        for flag, cap in _CAPS.get(args.command, {}).items():
+            value = getattr(args, flag)
+            if value > cap:
+                raise ValueError(f"--{flag} {value} is above the cap of {cap} for {args.command}")
         # mc and jacobian-test key a Philox generator with the seed
         if not 0 <= getattr(args, "seed", 0) < 2**64:
             raise ValueError(f"--seed {args.seed} is outside [0, 2^64)")

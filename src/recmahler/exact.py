@@ -36,6 +36,7 @@ from .errors import (
     OddExponent,
     PoleEvaluation,
     RepeatedPole,
+    ZeroArgument,
 )
 
 Rational = Fraction
@@ -619,8 +620,6 @@ class LaurentPi:
         cancellation that makes the plain sum noisy near x = 1 never happens.
         """
         if x == 0:
-            from .errors import ZeroArgument
-
             raise ZeroArgument("Laurent evaluation at 0")
         acc = self._float_at_one
         for e, c in self.coeffs.items():
@@ -851,14 +850,12 @@ def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:
 def laurent_mellin(g: LaurentPi) -> RatFunPi:
     """Mellin image of an even-exponent Laurent polynomial.
 
-    Term rule: coefficient c at exponent e contributes (c/2) / (s - e/2).
-    Grade is preserved.  The zero polynomial maps to zero.
+    Term rule: coefficient c at exponent e contributes (c/2) / (s - e/2);
+    LaurentPi admits even e only.  Grade is preserved.  The zero polynomial
+    maps to zero.
     """
     if g.is_zero:
         return RatFunPi.zero()
-    for e in g.coeffs:
-        if e % 2:
-            raise OddExponent(f"exponent {e} is odd")
     return ratfun_from_poles(g.pi_power, {e // 2: c / 2 for e, c in g.coeffs.items()})
 
 

@@ -19,17 +19,13 @@ written over a batch axis; each row stops iterating once its own step
 stagnates.  A batch starts deterministically on a circle whose radius comes
 from the Cauchy coefficient bound.  One polynomial (find_roots) starts
 instead from the eigenvalues of its companion matrix, which are accurate to
-rounding for well-separated roots, so Aberth stops after one sweep at every
-degree from 2 to 16 where the circle start takes 6 to 25 (roots at radius
-1.25 to 2 or its inverse), each paying NumPy's per-call overhead.  Batches
-keep the circle start: LAPACK solves one matrix at a time, and on Gaussian
-coefficients (one thread, 2 cores) eigenvalues plus Aberth measured 9.8
-against 6.8 us per polynomial at degree 3 (65536 rows), 35 against 22 at
-degree 6 (16384 rows) and 227 against 202 at degree 16 (4096 rows).
-Cubic batches, the N = 3 Monte Carlo chunks of mu_rec_batch, start instead
-from Cardano's formula, vectorized over the rows: on 65536 sampled rows
-Aberth stops after one sweep where the circle start takes 19, and the
-kernel measured 3.2 to 3.4 against 8.0 to 8.3 us a sample (2 cores).
+rounding for well-separated roots, so Aberth stops after one sweep where
+the circle start takes several, each paying NumPy's per-call overhead.
+Batches keep the circle start: LAPACK solves one matrix at a time, so per
+row the eigenvalues cost more than the sweeps they save.  Cubic batches,
+the N = 3 Monte Carlo chunks of mu_rec_batch, start instead from Cardano's
+formula, which is vectorized over the rows, costs no more than the circle
+and lets Aberth stop after one sweep.  README gives the measured figures.
 
 Reciprocal measures use the paper's pair products instead of the degree-2N
 palindrome: x^N p_v(x) = v_N prod (x^2 + beta_n x + 1), so with
@@ -140,11 +136,9 @@ def aberth_batch(
     coeffs: (B, d+1) complex, ascending, leading column nonzero in every row.
     start: (B, d) initial root estimates; by default a circle of Cauchy bound
     radius per row.  find_roots passes a polynomial's companion eigenvalues,
-    which pay off for a batch of one only: batched, eigenvalues plus Aberth
-    cost 9.8 against 6.8 us per polynomial at degree 3, 35 against 22 at
-    degree 6 and 227 against 202 at degree 16 (module docstring).
-    mu_rec_batch passes Cardano's roots for its cubic batches, which cost
-    no more than the circle and end the iteration after one sweep.
+    which pay off for a batch of one only (module docstring).  mu_rec_batch
+    passes Cardano's roots for its cubic batches, which cost no more than
+    the circle and end the iteration after one sweep.
     Returns (roots (B, d), residual (B,), converged (B,) bool).  Rows that
     fail to reach tol are reported, not raised; the single-polynomial API
     turns that into NoConvergence, the Monte Carlo driver counts it.
@@ -321,15 +315,21 @@ _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
 _CARDANO_REPEAT = 1e-7
 
 
+def _aligned_sqrt(d: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """sqrt(d) on the branch s where Re(conj(ref) s) >= 0, elementwise, so
+    that ref + s has no cancellation."""
+    s = np.sqrt(d)
+    return np.where((ref.conj() * s).real < 0.0, -s, s)
+
+
 def _cardano_start(q: np.ndarray) -> np.ndarray:
     """Roots of each row cubic (ascending coefficients) by Cardano's
     formula, as a (B, 3) Aberth start.
 
-    The square root takes the branch where Re(conj(D1) s) >= 0, so D1 + s
-    has no cancellation, as in the quadratic of _q_pair_moduli.  Rows whose
-    values are non-finite or repeat one start on the circle instead.  Equal
-    estimates stay equal under Aberth (see _companion_start), and an exact
-    triple root gives C = 0 and 0/0 below.  Values that agree to
+    D1 + s takes s from _aligned_sqrt.  Rows whose values are non-finite
+    or repeat one start on the circle instead.  Equal estimates stay equal
+    under Aberth (see _companion_start), and an exact triple root gives
+    C = 0 and 0/0 below.  Values that agree to
     _CARDANO_REPEAT count as repeats: Cardano places the double root of
     (y - 3)^2 (y - 0.5i) to within 5e-16, where p and p' are rounding
     noise, so the first sweep's step already stagnates and the Newton
@@ -340,8 +340,7 @@ def _cardano_start(q: np.ndarray) -> np.ndarray:
     c2, c1, c0 = monic[:, 2], monic[:, 1], monic[:, 0]
     d0 = c2 * c2 - 3.0 * c1
     d1 = (2.0 * c2 * c2 - 9.0 * c1) * c2 + 27.0 * c0
-    s = np.sqrt(d1 * d1 - 4.0 * d0 * d0 * d0)
-    s = np.where((d1.conj() * s).real < 0.0, -s, s)
+    s = _aligned_sqrt(d1 * d1 - 4.0 * d0 * d0 * d0, d1)
     c = (0.5 * (d1 + s)) ** (1.0 / 3.0)
     cw = c[:, None] * _CUBE_ROOTS_OF_UNITY
     y = (c2[:, None] + cw + d0[:, None] / cw) / -3.0
@@ -357,46 +356,40 @@ def _cardano_start(q: np.ndarray) -> np.ndarray:
 def _pair_moduli(y: np.ndarray) -> np.ndarray:
     """max(|x|, 1/|x|) over the roots x of x^2 - y x + 1, elementwise.
 
-    The larger root is (y + s)/2 with s = sqrt(y^2 - 4) on the branch where
-    Re(conj(y) s) >= 0, so y + s has no cancellation.  The two roots
+    The larger root is (y + s)/2 with s from _aligned_sqrt.  The two roots
     multiply to 1, hence the floor at 1 for rounding on the unit circle.
     """
-    s = np.sqrt(y * y - 4.0)
-    s = np.where((y.conj() * s).real < 0.0, -s, s)
-    return np.maximum(1.0, 0.5 * np.abs(y + s))
+    return np.maximum(1.0, 0.5 * np.abs(y + _aligned_sqrt(y * y - 4.0, y)))
 
 
-def _q_pair_moduli(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(B, m) pair moduli _pair_moduli over the roots of each row's
-    degree-m Q (ascending coefficients), and the rows' converged flags."""
+def _q_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(B, m) roots of each row's degree-m Q (ascending coefficients), and
+    the rows' converged flags."""
     batch, m = q.shape[0], q.shape[1] - 1
     ok = np.ones(batch, dtype=bool)
     if m == 0:
-        return np.ones((batch, 0)), ok
+        return np.zeros((batch, 0), dtype=complex), ok
     if m == 1:
-        return _pair_moduli(-q[:, :1] / q[:, 1:]), ok
+        return -q[:, :1] / q[:, 1:], ok
     if m == 2:
         a, b, c = q[:, 2], q[:, 1], q[:, 0]
-        d = np.sqrt(b * b - 4.0 * a * c)
-        d = np.where((b.conj() * d).real < 0.0, -d, d)
-        t = -0.5 * (b + d)
+        t = -0.5 * (b + _aligned_sqrt(b * b - 4.0 * a * c, b))
         # t = 0 only for b = c = 0: a double root at 0
-        y = np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1)
-        return _pair_moduli(y), ok
-    # y^k divides Q: its k roots are exactly 0, each the root pair +-i of
-    # modulus 1, and near a multiple root at 0 the scale-free residual stays
-    # at 1, so such rows are solved at degree m - k, as find_roots does
+        return np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1), ok
+    # y^k divides Q: its k roots are exactly 0, and near a multiple root at 0
+    # the scale-free residual stays at 1, so such rows are solved at degree
+    # m - k, as find_roots does
     strip = np.flatnonzero((q[:, 0] == 0) & (q[:, -1] != 0))
     if strip.size:
         k = np.zeros(batch, dtype=int)
         k[strip] = np.argmax(q[strip] != 0, axis=1)
-        moduli = np.ones((batch, m))
+        y = np.zeros((batch, m), dtype=complex)
         for kk in np.unique(k):
             rows = k == kk
-            moduli[rows, kk:], ok[rows] = _q_pair_moduli(q[rows, kk:], tol)
-        return moduli, ok
+            y[rows, kk:], ok[rows] = _q_roots(q[rows, kk:], tol)
+        return y, ok
     y, _, ok = aberth_batch(q, tol, _cardano_start(q) if m == 3 else None)
-    return _pair_moduli(y), ok
+    return y, ok
 
 
 def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +415,9 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
             x, _, ok = aberth_batch(lambda_embed(v), tol)
             moduli = np.maximum(1.0, np.abs(x))
         else:
-            moduli, ok = _q_pair_moduli(v @ pair_basis(n), tol)
+            y, ok = _q_roots(v @ pair_basis(n), tol)
+            # a root y = 0 is the root pair +-i, of modulus exactly 1
+            moduli = _pair_moduli(y)
         meas = np.abs(v[:, -1]) * np.prod(moduli, axis=1)
     ok &= np.isfinite(meas)
     return np.where(ok, meas, np.inf), ok

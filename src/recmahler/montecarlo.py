@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import EvaluationOverflow, NoConvergence
 from .measure import mu_rec_batch
 
 CHUNK = 1 << 16
@@ -124,8 +124,18 @@ def _box_estimate(
     """Estimate of vol{v : mu_rec(v) <= threshold} from v uniform on the
     product of disks with these radii, followed by the fixed leading
     coefficient lead, or with v_N sampled by the last disk when lead is None.
+    A box whose volume overflows a double raises EvaluationOverflow before
+    any sample is drawn.
     """
-    volume = float(np.prod(np.pi * radii ** 2))
+    # every factor is at least pi, so an overflow on the way is one at the end
+    with np.errstate(over="ignore"):
+        volume = float(np.prod(np.pi * radii ** 2))
+    if not math.isfinite(volume):
+        n_order = radii.size - (lead is None)
+        raise EvaluationOverflow(
+            f"Monte Carlo box volume at N = {n_order}, xi = {threshold:.15g} "
+            "overflows a double"
+        )
 
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
         v = _sample_disks(gen, count, radii)

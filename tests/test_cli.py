@@ -341,6 +341,52 @@ def test_exact_reports_match_golden_digests(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 
+# the JSON of a degree-1 polynomial whose root is the first of 16 midpoint
+# quadrature nodes, exp(2 pi i / 32)
+NODE_ON_ZERO = "[[-0.9807852804032304, -0.19509032201612825], [1, 0]]"
+
+# (exit status, sha256 of stderr) of one call per cause of exit 2 or 3: the
+# error lines, and argparse's usage text, are pinned like the reports
+ERROR_DIGESTS = {
+    ("measure", "--coeffs", "not json"): (2, "2cab9e8f60323543ec735ac7935a5c2fb75d8d50cb04ee78e841224b53a67c83"),
+    ("measure", "--coeffs", "[0, 0]"): (2, "40e3c057f770c1b426e2918fa6fc4d5a0671be9e7aebf855f8c25ff6d59e5ff0"),
+    ("hn", "--N", "201"): (2, "42490635f15c992d419e2f41199b9de7848008eac407080f67f68db08f943aee"),
+    ("volume", "--N", "501"): (2, "0a1fb7164be8b9017718cb426fd87ed655d8749e876008229b5fc0fa9ff2aa2c"),
+    ("verify-det", "--N", "101"): (2, "085aef5f27400080df5dd93f63b6985a3da8c283d3edbcaa0a00d9a5e4265f57"),
+    ("rank-one", "--N", "65"): (2, "d2feb13bdab2002a891f70ea4b1562ebded33b3b2ba7ef661b069b93071a43c8"),
+    ("mc", "--mode", "volume", "--N", "9"): (2, "d7c59d663385025135f985e7c1971c6ffa7c02ab914b8cd1258eff68a3884dc4"),
+    ("table", "--N", "201"): (2, "7ec0e0b21bf102551296e64b39e11937ab633b3be6e631a05f9222c935965bea"),
+    ("jacobian-test", "--N", "8"): (2, "9abddfee5af1f49a0a780ea07b945362c87f3890db61cba68f484badf6256403"),
+    ("verify-entries", "--J", "216", "--K", "3"): (2, "030cf6a3c39904919837406dc13a8a607bea9f3e68207d017454359e3a867bfb"),
+    ("verify-entries", "--J", "3", "--K", "216"): (2, "4b495f1c52502223ec149fb258374db8fda520852d4ae5d7e3ac07a13ee1603d"),
+    ("verify-entries", "--J", "216", "--K", "216"): (2, "030cf6a3c39904919837406dc13a8a607bea9f3e68207d017454359e3a867bfb"),
+    ("table", "--N", "1", "--step", "0"): (2, "0617a9f8e22cb93d1d5add660d93a0327722f7f4a0227dee2a80a25e66e37b5b"),
+    ("table", "--N", "1", "--start", "3", "--stop", "1"): (2, "c89de0da473423d4a00064543f5c302948b655f13d42ac135f0888458d8b2440"),
+    ("table", "--N", "1", "--step", "1e-9"): (2, "47f9497b0048dbc786b15a1147096f250985bc02ced9232875fc0b819d77e343"),
+    ("table", "--N", "1", "--stop", "nan"): (2, "47f9497b0048dbc786b15a1147096f250985bc02ced9232875fc0b819d77e343"),
+    ("jacobian-test", "--seed", "-1"): (2, "8b12ff35e1b99dd3524fd21d5a39086f819dac931b0230683d558db7516fd16d"),
+    ("mc", "--mode", "volume", "--N", "1", "--seed", "18446744073709551616"): (2, "9535a17c3dcc110d05ed76de7800b7d762a5334a61b1e8bc18f51d106df84e14"),
+    ("measure", "--coeffs", "[1, 2]", "--tol", "-1"): (2, "98261cbc5b7c8bfccf4aef92a3bf51c58142a4049028821d4d5d15dd863bcc0d"),
+    ("jacobian-test", "--N", "2", "--step", "0"): (2, "27f2273f1d52edf63cd6e7d41bce6ec9403a90741d962e6688deb673dfd82f9b"),
+    ("jacobian-test", "--points", "0"): (2, "ae51eb34ace06da703b8750ff646ae4961aed637e6b14c60b4ccd963b7e99222"),
+    ("mc", "--mode", "hn", "--N", "1"): (2, "febdeffa2c44eacb850c57fc3e7d2b751c6662f8670958464df07e8626ca62b9"),
+    ("frobnicate",): (2, "8b29fc449b921f6e62a83c71a811401eafa68cdf075a03085b40648ebca5e6a7"),
+    ("hn", "--N", "200", "--xi", "10"): (3, "89b6809556154ee70ec5aa39282d7d4a84b1c6e172352c13522a9a0790af6ac5"),
+    ("table", "--N", "200", "--start", "6", "--stop", "6.01"): (3, "092f38004208e85dd34ab3ecf374bb0a4408b331455bf2ae72c56792f231e126"),
+    ("measure", "--coeffs", "[1e10, 1, 1e-300]"): (3, "2b331ba9a0ad88fad5c187826d25a88d5b08492bc98fafb74a80b21a34da8f97"),
+    ("measure", "--coeffs", NODE_ON_ZERO, "--nodes", "16"): (3, "581af9159c82cc624198efbb4a237188d856f197e0b54a4bc9193f801cf46b3e"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ERROR_DIGESTS))
+def test_error_paths_match_golden_digests(capsys, monkeypatch, argv):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, list(argv))
+    assert out == ""
+    assert (code, hashlib.sha256(err.encode()).hexdigest()) == ERROR_DIGESTS[argv]
+
+
 # arguments a subcommand requires besides --N
 REQUIRED_ARGS = {"mc": ["--mode", "volume"]}
 
@@ -381,6 +427,39 @@ def test_order_at_the_cap_passes(capsys, command):
     code, rep, _ = invoke_json(capsys, [command, "--N", str(N_CAPS[command])])
     assert code == 0
     assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def test_nodes_at_the_cap_passes(capsys):
+    code, rep, _ = invoke_json(
+        capsys, ["measure", "--coeffs", "[1, 2.5, 1]", "--nodes", str(cli.NODES_CAP)]
+    )
+    assert code == 0
+    assert rep["inputs"]["nodes"] == cli.NODES_CAP
+
+
+@pytest.mark.parametrize("nodes", [cli.NODES_CAP + 1, 10**9])
+def test_nodes_above_the_cap_exit_two(capsys, nodes):
+    argv = ["measure", "--coeffs", "[1, 2.5, 1]", "--nodes", str(nodes)]
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --nodes {nodes} is above the cap of {cli.NODES_CAP} for measure\n"
+
+
+@pytest.mark.parametrize("n, xi", [("2", "1e200"), ("2", "1e308"), ("8", "1e40")])
+def test_overflowing_box_volume_exits_three(capsys, n, xi):
+    """Unchecked, the box volume overflowed with a NumPy warning, every
+    sample then failed, and the error blamed the root solve."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(
+            capsys, ["mc", "--mode", "hn", "--N", n, "--xi", xi, "--samples", "10000"]
+        )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: Monte Carlo box volume at N = {n}, xi = {float(xi):.15g} overflows a double\n"
+    )
 
 
 def test_node_on_zero_exits_three(capsys):

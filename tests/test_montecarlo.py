@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from recmahler import measure, montecarlo
+from recmahler.errors import EvaluationOverflow
 from recmahler.measure import mu_rec_batch
 from recmahler.montecarlo import (
     CHUNK,
@@ -58,6 +59,19 @@ def test_region_volumes():
     assert est.region_volume == pytest.approx(math.pi * 9.0, rel=1e-15)
     estv = mc_volume(1, 10_000, seed=7)
     assert estv.region_volume == pytest.approx(4 * math.pi ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_order, xi", [(2, 1e200), (1, 1e308), (8, 1e40)])
+def test_overflowing_box_volume_raises_before_sampling(monkeypatch, n_order, xi):
+    def sampled(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(montecarlo, "_sample_disks", sampled)
+    with pytest.raises(EvaluationOverflow) as info:
+        mc_hN(n_order, xi, 10_000)
+    assert str(info.value) == (
+        f"Monte Carlo box volume at N = {n_order}, xi = {xi:.15g} overflows a double"
+    )
 
 
 # ---------------------------------------------------------------------------
