@@ -22,21 +22,25 @@ instead from the eigenvalues of its companion matrix, which are accurate to
 rounding for well-separated roots, so Aberth stops after one sweep where
 the circle start takes several, each paying NumPy's per-call overhead.
 Batches keep the circle start: LAPACK solves one matrix at a time, so per
-row the eigenvalues cost more than the sweeps they save.  Cubic batches,
-the N = 3 Monte Carlo chunks of mu_rec_batch, start instead from Cardano's
-formula, which is vectorized over the rows, costs no more than the circle
-and lets Aberth stop after one sweep.  README gives the measured figures.
+row the eigenvalues cost more than the sweeps they save.  README gives the
+measured figures.
 
 Reciprocal measures use the paper's pair products instead of the degree-2N
 palindrome: x^N p_v(x) = v_N prod (x^2 + beta_n x + 1), so with
 y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q, and the measure is
 |v_N| prod max(|alpha_n|, 1/|alpha_n|) over the N roots of Q.  mu_rec_batch
-computes it for a batch of coefficient vectors, with closed-form roots for
-N <= 2, Aberth from Cardano's roots at N = 3 and Aberth from the circle
-up to N = 8, where the monomial basis in y
-still keeps the measure to 1e-14; the Monte Carlo module pushes
-tens of thousands of samples through it per call, and mu_rec / nu_rec are
-its batch of one.
+computes it for a batch of coefficient vectors.  Q's roots are closed form
+for N <= 3, behind a gate at N = 3: Cardano's roots, after one Newton
+step, are kept for the rows whose residual passes, and only the rows that
+fail it, or whose Cardano values are non-finite or repeat, go to Aberth,
+from the start a whole-batch Aberth solve would use, so their bits do not
+depend on the rest of the batch.  On sampled rows almost none fail, and
+the N = 3 kernel runs no Aberth sweep.  From N = 4 to N = 8, where the
+monomial basis in y still keeps the measure to 1e-14, Q's roots come from
+Aberth on the circle.  A row the circle start leaves unconverged is solved
+again by itself from companion eigenvalues, as find_roots solves.  The
+Monte Carlo module pushes its samples through mu_rec_batch in blocks of a
+few thousand rows, and mu_rec / nu_rec are its batch of one.
 """
 
 from __future__ import annotations
@@ -136,9 +140,8 @@ def aberth_batch(
     coeffs: (B, d+1) complex, ascending, leading column nonzero in every row.
     start: (B, d) initial root estimates; by default a circle of Cauchy bound
     radius per row.  find_roots passes a polynomial's companion eigenvalues,
-    which pay off for a batch of one only (module docstring).  mu_rec_batch
-    passes Cardano's roots for its cubic batches, which cost no more than
-    the circle and end the iteration after one sweep.
+    which pay off for a batch of one only (module docstring).  The cubic
+    rows of mu_rec_batch that fail Cardano's gate pass their Cardano values.
     Returns (roots (B, d), residual (B,), converged (B,) bool).  Rows that
     fail to reach tol are reported, not raised; the single-polynomial API
     turns that into NoConvergence, the Monte Carlo driver counts it.
@@ -322,44 +325,76 @@ def _aligned_sqrt(d: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.where((ref.conj() * s).real < 0.0, -s, s)
 
 
-def _cardano_start(q: np.ndarray) -> np.ndarray:
-    """Roots of each row cubic (ascending coefficients) by Cardano's
-    formula, as a (B, 3) Aberth start.
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether a and b agree to _CARDANO_REPEAT, relative, elementwise."""
+    return np.abs(a - b) <= _CARDANO_REPEAT * np.maximum(np.abs(a), np.abs(b))
+
+
+def _cardano_start(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each monic row cubic (ascending coefficients) by Cardano's
+    formula, and the rows flagged as unusable, whose values are replaced by
+    the circle start.
 
     D1 + s takes s from _aligned_sqrt.  Rows whose values are non-finite
-    or repeat one start on the circle instead.  Equal estimates stay equal
-    under Aberth (see _companion_start), and an exact triple root gives
-    C = 0 and 0/0 below.  Values that agree to
+    or repeat one are flagged.  Equal estimates stay equal under Aberth
+    (see _companion_start), and an exact triple root gives C = 0 and 0/0
+    below.  Values that agree to
     _CARDANO_REPEAT count as repeats: Cardano places the double root of
     (y - 3)^2 (y - 0.5i) to within 5e-16, where p and p' are rounding
     noise, so the first sweep's step already stagnates and the Newton
     polish then throws the pair 0.02 apart.  From the circle, Aberth leaves
     a double root spread by about sqrt(eps), where the polish holds.
     """
-    monic = q / q[:, -1][:, None]
     c2, c1, c0 = monic[:, 2], monic[:, 1], monic[:, 0]
     d0 = c2 * c2 - 3.0 * c1
     d1 = (2.0 * c2 * c2 - 9.0 * c1) * c2 + 27.0 * c0
-    s = _aligned_sqrt(d1 * d1 - 4.0 * d0 * d0 * d0, d1)
-    c = (0.5 * (d1 + s)) ** (1.0 / 3.0)
+    h = 0.5 * (d1 + _aligned_sqrt(d1 * d1 - 4.0 * d0 * d0 * d0, d1))
+    # the principal cube root, without the complex log and exp of h ** (1/3)
+    c = np.cbrt(np.abs(h)) * np.exp(1j * np.angle(h) / 3.0)
     cw = c[:, None] * _CUBE_ROOTS_OF_UNITY
     y = (c2[:, None] + cw + d0[:, None] / cw) / -3.0
-    i, j = [0, 0, 1], [1, 2, 2]
-    gap = np.abs(y[:, i] - y[:, j])
-    near = gap <= _CARDANO_REPEAT * np.maximum(np.abs(y[:, i]), np.abs(y[:, j]))
-    bad = ~np.all(np.isfinite(y), axis=1) | np.any(near, axis=1)
+    y0, y1, y2 = y.T
+    bad = ~np.all(np.isfinite(y), axis=1) | _near(y0, y1) | _near(y0, y2) | _near(y1, y2)
     if bad.any():
         y[bad] = _circle_start(monic[bad])
-    return y
+    return y, bad
+
+
+def _cubic_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(B, 3) roots of each row cubic Q and the rows' converged flags.
+
+    Cardano's roots, after one Newton step, are kept for every row they
+    pass the residual gate on.  Rows they fail, and rows _cardano_start
+    flags, go to aberth_batch from _cardano_start's values, so those rows
+    get the same bits as when the whole batch starts there.  A
+    _cardano_start that returns None sends the whole batch to aberth_batch
+    from the circle.
+    """
+    monic = q / q[:, -1][:, None]
+    cardano = _cardano_start(monic)
+    if cardano is None:
+        y, _, ok = aberth_batch(q, tol)
+        return y, ok
+    start, bad = cardano
+    step = _horner_batch(monic, start) / _horner_batch(monic[:, 1:] * np.arange(1, 4), start)
+    step[~np.isfinite(step)] = 0.0
+    y = start - step
+    ok = ~bad & (_residual_batch(monic, y) <= tol)
+    retry = np.flatnonzero(~ok)
+    if retry.size:
+        y[retry], _, ok[retry] = aberth_batch(q[retry], tol, start[retry])
+    return y, ok
 
 
 def _pair_moduli(y: np.ndarray) -> np.ndarray:
     """max(|x|, 1/|x|) over the roots x of x^2 - y x + 1, elementwise.
 
-    The larger root is (y + s)/2 with s from _aligned_sqrt.  The two roots
-    multiply to 1, hence the floor at 1 for rounding on the unit circle.
+    The roots are (y +- s)/2 with s = sqrt(y^2 - 4), and the larger is the
+    one without cancellation.  The two roots multiply to 1, hence the floor
+    at 1 for rounding on the unit circle.
     """
-    return np.maximum(1.0, 0.5 * np.abs(y + _aligned_sqrt(y * y - 4.0, y)))
+    s = np.sqrt(y * y - 4.0)
+    return np.maximum(1.0, 0.5 * np.maximum(np.abs(y + s), np.abs(y - s)))
 
 
 def _q_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +423,9 @@ def _q_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             rows = k == kk
             y[rows, kk:], ok[rows] = _q_roots(q[rows, kk:], tol)
         return y, ok
-    y, _, ok = aberth_batch(q, tol, _cardano_start(q) if m == 3 else None)
+    if m == 3:
+        return _cubic_roots(q, tol)
+    y, _, ok = aberth_batch(q, tol)
     return y, ok
 
 
@@ -401,24 +438,49 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     coefficients come from symfun.pair_basis: Q = v_N prod (y + beta_n),
     and each root y = -beta_n carries the root pair of x^2 - y x + 1, which
     contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots are
-    closed form for N <= 2 (the quadratic in cancellation-free form) and
-    come from aberth_batch at degree N up to N = 8, started from Cardano's
-    roots at N = 3; above that the degree-2N palindrome x^N p_v is solved
-    instead (see Y_MAX_ORDER).  A factor y^k of Q is split off first.
-    A row that fails the root solve or gives a non-finite measure, as one
-    with v_N = 0 does, reports inf and converged False.
+    closed form for N <= 2 (the quadratic in cancellation-free form), come
+    from Cardano behind a residual gate at N = 3 (_cubic_roots) and from
+    aberth_batch at degree N up to N = 8; above that the degree-2N
+    palindrome x^N p_v is solved instead (see Y_MAX_ORDER).  A factor y^k
+    of Q is split off first.  Each row the batch solve leaves unconverged,
+    with finite entries and v_N != 0, is retried alone through find_roots
+    on the same polynomial: v = (1e50, 1, ..., 1) at 4 <= N <= 10 needs
+    the companion start.  Every row is computed on its own, so a row's
+    result does not depend on the batch it comes in.  A row that fails the
+    root solve or gives a non-finite measure, as one with v_N = 0 does,
+    reports inf and converged False.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n > Y_MAX_ORDER:
-            x, _, ok = aberth_batch(lambda_embed(v), tol)
+            coeffs = lambda_embed(v)
+            x, _, ok = aberth_batch(coeffs, tol)
             moduli = np.maximum(1.0, np.abs(x))
         else:
-            y, ok = _q_roots(v @ pair_basis(n), tol)
+            coeffs = v @ pair_basis(n)
+            y, ok = _q_roots(coeffs, tol)
             # a root y = 0 is the root pair +-i, of modulus exactly 1
             moduli = _pair_moduli(y)
-        meas = np.abs(v[:, -1]) * np.prod(moduli, axis=1)
+        # the circle start can miss where the companion start converges
+        for row in np.flatnonzero(~ok):
+            if not (np.all(np.isfinite(v[row])) and v[row, -1] != 0):
+                continue
+            try:
+                roots = find_roots(coeffs[row], tol).roots
+            except NoConvergence:
+                continue
+            if n > Y_MAX_ORDER:
+                moduli[row] = np.maximum(1.0, np.abs(roots))
+            else:
+                moduli[row] = _pair_moduli(roots)
+            ok[row] = True
+        # np.prod's order, column by column: its reduction along a short
+        # axis costs about 20 ns a row
+        prod = np.ones(len(v))
+        for col in moduli.T:
+            prod *= col
+        meas = np.abs(v[:, -1]) * prod
     ok &= np.isfinite(meas)
     return np.where(ok, meas, np.inf), ok
 

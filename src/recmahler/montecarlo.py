@@ -10,8 +10,15 @@ distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
 Each sampled vector v = (v_0, ..., v_N) goes straight to
 measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
-roots for N <= 2, and above that a degree-N Aberth solve, which at N = 3
-starts from Cardano's roots and stops after one sweep.
+roots for N <= 3, at N = 3 behind a residual gate whose rare failures fall
+back to Aberth, and above that a degree-N Aberth solve.
+
+A chunk is built and measured in row blocks of _BLOCK = 4096.  For a whole
+chunk the root kernel's temporaries take a megabyte per complex column, and
+at N = 8 Aberth's (rows, N, N) arrays take 67 MB each: every fresh page
+costs a page fault, and the process keeps its largest size.  A block's
+temporaries stay in cache and are reused.  The kernel works row by row and
+the tallies are integers, so blocks change no bit of an estimate.
 
 Reproducibility: draws come from the Philox counter-based generator, keyed
 by the user seed with the chunk index placed in the counter's top word.
@@ -34,6 +41,8 @@ from .errors import EvaluationOverflow, NoConvergence
 from .measure import mu_rec_batch
 
 CHUNK = 1 << 16
+# rows per mu_rec_batch call (module docstring)
+_BLOCK = 4096
 # residual target of the degree-N root solve for N >= 3
 _ROOT_TOL = 1e-9
 _REJECTION_CAP = 1e-6
@@ -79,16 +88,20 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray) -> np.ndarray:
     """count x len(radii) complex points, uniform on each disk.
 
-    The bytes are those of radii * sqrt(u) * exp(2j * pi * w), built in
-    place, so the two draws and the result are the only full-size arrays.
+    The bytes are those of radii * sqrt(u) * exp(2j * pi * w) for u and w
+    drawn whole, in that order.  w is drawn _BLOCK rows at a time, which
+    continues the same stream, and each block of the result is built in
+    place, so u and the result are the only full-size arrays.
     """
     u = gen.random((count, radii.size))
-    w = gen.random((count, radii.size))
     np.sqrt(u, out=u)
     u *= radii
-    v = np.multiply(w, 2j * np.pi)
-    np.exp(v, out=v)
-    v *= u
+    v = np.empty((count, radii.size), dtype=complex)
+    for first in range(0, count, _BLOCK):
+        block = v[first : first + _BLOCK]
+        np.multiply(gen.random(block.shape), 2j * np.pi, out=block)
+        np.exp(block, out=block)
+        block *= u[first : first + _BLOCK]
     return v
 
 
@@ -139,12 +152,19 @@ def _box_estimate(
 
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
         v = _sample_disks(gen, count, radii)
-        if lead is not None:
-            v = np.concatenate([v, np.full((count, 1), lead, dtype=complex)], axis=1)
-        # a leading coefficient of exactly 0 (probability 0) scores as a
-        # rejection: the kernel reports its measure as not finite
-        meas, ok = mu_rec_batch(v, _ROOT_TOL)
-        return int(np.count_nonzero(meas <= threshold)), int(np.count_nonzero(~ok))
+        hits = rejections = 0
+        for first in range(0, count, _BLOCK):
+            block = v[first : first + _BLOCK]
+            if lead is not None:
+                block = np.concatenate(
+                    [block, np.full((block.shape[0], 1), lead, dtype=complex)], axis=1
+                )
+            # a leading coefficient of exactly 0 (probability 0) scores as a
+            # rejection: the kernel reports its measure as not finite
+            meas, ok = mu_rec_batch(block, _ROOT_TOL)
+            hits += int(np.count_nonzero(meas <= threshold))
+            rejections += int(np.count_nonzero(~ok))
+        return hits, rejections
 
     hits, rejections = _run_chunks(samples, seed, workers, chunk)
     if rejections > _REJECTION_CAP * samples:

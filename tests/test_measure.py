@@ -485,3 +485,144 @@ def test_mu_rec_batch_splits_off_exact_zero_roots_of_q(lead, ys):
 
 def test_nu_rec_of_a_power_of_x_squared_plus_one():
     assert nu_rec(np.array([0.0, 3.0, 0.0])) == pytest.approx(1.0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the N = 3 kernel keeps Cardano's roots where they pass the residual gate
+
+
+def aberth_from_cardano(q, tol):
+    """The reference cubic solve: Aberth from _cardano_start on every row."""
+    start, _ = measure._cardano_start(q / q[:, -1][:, None])
+    y, _, ok = aberth_batch(q, tol, start)
+    return y, ok
+
+
+def test_closed_form_cubic_agrees_with_aberth_from_cardano(monkeypatch):
+    v = sampled_cubics(1 << 16)
+    meas, ok = mu_rec_batch(v, 1e-9)
+    monkeypatch.setattr(measure, "_cubic_roots", aberth_from_cardano)
+    ref, ref_ok = mu_rec_batch(v, 1e-9)
+    assert bool(np.all(ok)) and bool(np.all(ref_ok))
+    assert np.max(np.abs(meas - ref) / ref) <= 4e-15
+
+
+def test_clean_cubic_batch_runs_one_newton_step_and_the_gate(monkeypatch):
+    """p and p' for the Newton step, two evaluations for the residual, and
+    no Aberth sweep."""
+    v = sampled_cubics(1 << 12)
+    calls = []
+    horner = measure._horner_batch
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    def no_sweep(*args):
+        raise AssertionError("aberth_batch ran on a clean batch")
+
+    monkeypatch.setattr(measure, "_horner_batch", counted)
+    monkeypatch.setattr(measure, "aberth_batch", no_sweep)
+    meas, ok = mu_rec_batch(v, 1e-9)
+    assert bool(np.all(ok))
+    assert len(calls) <= 4
+
+
+def test_patched_out_cardano_runs_the_whole_batch_from_the_circle(monkeypatch):
+    v = np.array(CARDANO_EDGE_ROWS[9:] + list(sampled_cubics(64)))
+    solves = []
+    solve = measure.aberth_batch
+
+    def recorded(coeffs, tol=1e-10, start=None):
+        solves.append((len(coeffs), start))
+        return solve(coeffs, tol, start)
+
+    monkeypatch.setattr(measure, "aberth_batch", recorded)
+    circle_started(monkeypatch)
+    mu_rec_batch(v)
+    assert solves[0] == (len(v), None)
+    # what follows are find_roots's one-row retries
+    assert all(size == 1 for size, _ in solves[1:])
+
+
+def test_flagged_and_failing_cubic_rows_keep_the_aberth_bits(monkeypatch):
+    """Rows that go to Aberth start where the whole batch would have, so
+    they get the bits of the all-Aberth reference."""
+    v = np.array(CARDANO_EDGE_ROWS + list(sampled_cubics(64)))
+    solves = []
+    solve = measure.aberth_batch
+
+    def recorded(coeffs, tol=1e-10, start=None):
+        solves.append(len(coeffs))
+        return solve(coeffs, tol, start)
+
+    monkeypatch.setattr(measure, "aberth_batch", recorded)
+    meas, ok = mu_rec_batch(v)
+    assert 0 < solves[0] < len(v)
+    monkeypatch.setattr(measure, "_cubic_roots", aberth_from_cardano)
+    ref, ref_ok = mu_rec_batch(v)
+    assert list(ok) == list(ref_ok)
+    # the repeated-root rows and the non-finite rows are flagged
+    assert np.array_equal(meas[:9], ref[:9])
+    assert np.all(np.abs(meas[ok] - ref[ok]) <= 1e-12 * ref[ok])
+
+
+def test_pair_moduli_match_the_aligned_square_root_bit_for_bit():
+    rng = np.random.default_rng(23)
+    y = rng.normal(size=(4000, 3)) * 3.0 + 1j * rng.normal(size=(4000, 3))
+    y[:1000] = rng.uniform(-2.0, 2.0, size=(1000, 3))  # pairs on the circle
+    y[1000:2000] += 1j * 1e-9 * rng.normal(size=(1000, 3)) - y[1000:2000].imag * 1j
+    y[2000:2003] = [[2.0, -2.0, 0.0], [2.0 + 1e-12, -2.0 - 1e-12, 1e-300j], [1e200, 1j, -1e-200]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        aligned = np.maximum(1.0, 0.5 * np.abs(y + measure._aligned_sqrt(y * y - 4.0, y)))
+        pairs = measure._pair_moduli(y)
+    assert pairs.tobytes() == aligned.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# rows the circle-started batch misses are retried from companion eigenvalues
+
+
+def test_blocked_mu_rec_batch_matches_the_whole_batch_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n_order in range(1, 11):
+        rows = 600 if n_order <= 8 else 150
+        v = rng.normal(size=(rows, n_order + 1)) + 1j * rng.normal(size=(rows, n_order + 1))
+        meas, ok = mu_rec_batch(v, 1e-9)
+        parts = [mu_rec_batch(v[i : i + 97], 1e-9) for i in range(0, rows, 97)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == meas.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == ok.tobytes()
+
+
+def test_palindrome_row_the_circle_start_misses_is_retried():
+    """Row 8218 of chunk 0 of mc_volume(10, 10_000) at seed 0: the circle
+    start does not converge on its palindrome, the companion start does."""
+    radii = np.append(montecarlo.bounding_radii(10, 1.0), 1.0)
+    v = montecarlo._sample_disks(montecarlo._chunk_generator(0, 0), 10_000, radii)[8218:8219]
+    assert not aberth_batch(lambda_embed(v), 1e-9)[2][0]
+    meas, ok = mu_rec_batch(v, 1e-9)
+    assert bool(ok[0])
+    assert meas[0] == pytest.approx(mahler_from_roots(lambda_embed(v)[0]), rel=1e-13)
+    assert meas[0] == pytest.approx(mahler_quadrature(lambda_embed(v)[0], 1 << 14), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n_order, big", [(4, 1e50), (5, 1e50), (6, 1e50), (8, 1e50), (8, 1e20), (10, 1e50)]
+)
+def test_huge_constant_coefficient_is_retried(n_order, big):
+    """v = (big, 1, ..., 1) has measure big to 1e-14 relative; the
+    circle-started batch does not converge on it."""
+    v = np.ones(n_order + 1, dtype=complex)
+    v[0] = big
+    assert mu_rec(v) == pytest.approx(big, rel=1e-13)
+
+
+def test_failed_retry_keeps_the_row_unconverged(monkeypatch):
+    def stalled(coeffs, tol=1e-10):
+        raise NoConvergence("stalled")
+
+    v = np.ones((2, 7), dtype=complex)
+    v[0, 0] = 1e50
+    monkeypatch.setattr(measure, "find_roots", stalled)
+    meas, ok = mu_rec_batch(v)
+    assert list(ok) == [False, True] and meas[0] == np.inf

@@ -241,3 +241,80 @@ def test_cardano_start_keeps_the_order_three_tallies(monkeypatch):
     assert [run() for run in runs] == cardano
     for est in cardano[2:]:
         assert 0.1 < est.mean / est.region_volume < 0.9
+
+
+# ---------------------------------------------------------------------------
+# chunks are measured in row blocks
+
+
+@pytest.mark.parametrize("n_order", [1, 2, 3, 4])
+@pytest.mark.parametrize("samples, workers", [(10_000, 1), (70_000, 2)])
+def test_blocked_estimates_equal_the_whole_chunk_ones(monkeypatch, n_order, samples, workers):
+    """Both sample counts end in a partial block; 70000 samples fill two
+    chunks, which two workers run on two threads when there are two CPUs."""
+    assert samples % montecarlo._BLOCK
+    blocked = [
+        mc_hN(n_order, 1.5, samples, seed=n_order, workers=workers),
+        mc_volume(n_order, samples, seed=n_order, workers=workers),
+    ]
+    monkeypatch.setattr(montecarlo, "_BLOCK", CHUNK)
+    whole = [
+        mc_hN(n_order, 1.5, samples, seed=n_order),
+        mc_volume(n_order, samples, seed=n_order),
+    ]
+    assert blocked == whole
+
+
+def test_blocked_draw_keeps_the_bytes_of_the_whole_draw():
+    radii = np.append(bounding_radii(2, 1.0), 1.0)
+    count = 3 * montecarlo._BLOCK + 5
+    v = _sample_disks(_chunk_generator(4, 1), count, radii)
+    gen = _chunk_generator(4, 1)
+    u = gen.random((count, radii.size))
+    w = gen.random((count, radii.size))
+    assert v.tobytes() == (radii * np.sqrt(u) * np.exp(2j * np.pi * w)).tobytes()
+
+
+def test_chunks_draw_through_sample_disks(monkeypatch):
+    """What test_overflowing_box_volume_raises_before_sampling patches is
+    what the chunks draw through, so that test sees any draw."""
+    counts = []
+    sample = montecarlo._sample_disks
+
+    def recorded(gen, count, radii):
+        counts.append(count)
+        return sample(gen, count, radii)
+
+    monkeypatch.setattr(montecarlo, "_sample_disks", recorded)
+    mc_hN(2, 1.5, 70_000)
+    mc_volume(1, 10_000)
+    assert counts == [CHUNK, 70_000 - CHUNK, 10_000]
+
+
+def test_closed_form_cubic_keeps_the_order_three_tallies(monkeypatch):
+    """Hits and rejections against the kernel that starts Aberth from
+    Cardano's roots on every row, at N = 3 for seeds 0-9, and on the box
+    at thresholds that 10% to 90% of the samples meet."""
+    radii = bounding_radii(3, 1.5)
+    vol_radii = np.append(bounding_radii(3, 1.0), 1.0)
+
+    def runs():
+        for seed in range(10):
+            yield mc_hN(3, 1.5, 10_000, seed=seed)
+            yield mc_volume(3, 10_000, seed=seed)
+        for threshold in (17.0, 25.0, 34.0):
+            yield montecarlo._box_estimate(radii, 1.0, threshold, 10_000, 7, 1)
+        for threshold in (11.5, 17.0, 22.5):
+            yield montecarlo._box_estimate(vol_radii, None, threshold, 10_000, 7, 1)
+
+    closed = list(runs())
+
+    def aberth_from_cardano(q, tol):
+        start, _ = measure._cardano_start(q / q[:, -1][:, None])
+        y, _, ok = measure.aberth_batch(q, tol, start)
+        return y, ok
+
+    monkeypatch.setattr(measure, "_cubic_roots", aberth_from_cardano)
+    assert list(runs()) == closed
+    shares = [est.mean / est.region_volume for est in closed[20:]]
+    assert min(shares) > 0.1 and max(shares) < 0.9
