@@ -29,18 +29,23 @@ Reciprocal measures use the paper's pair products instead of the degree-2N
 palindrome: x^N p_v(x) = v_N prod (x^2 + beta_n x + 1), so with
 y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q, and the measure is
 |v_N| prod max(|alpha_n|, 1/|alpha_n|) over the N roots of Q.  mu_rec_batch
-computes it for a batch of coefficient vectors.  Q's roots are closed form
-for N <= 3, behind a gate at N = 3: Cardano's roots, after one Newton
-step, are kept for the rows whose residual passes, and only the rows that
-fail it, or whose Cardano values are non-finite or repeat, go to Aberth,
-from the start a whole-batch Aberth solve would use, so their bits do not
-depend on the rest of the batch.  On sampled rows almost none fail, and
-the N = 3 kernel runs no Aberth sweep.  From N = 4 to N = 8, where the
-monomial basis in y still keeps the measure to 1e-14, Q's roots come from
-Aberth on the circle.  A row the circle start leaves unconverged is solved
-again by itself from companion eigenvalues, as find_roots solves.  The
-Monte Carlo module pushes its samples through mu_rec_batch in blocks of a
-few thousand rows, and mu_rec / nu_rec are its batch of one.
+computes it for a batch of coefficient vectors.  From N = 9, where Q's
+monomial basis loses accuracy, it solves the degree-2N palindrome instead.
+Either polynomial goes through one fallback chain, and each row takes one
+path through its three tiers:
+
+1. a closed form where one exists: degree 1, degree 2, and degree 3, where
+   Cardano's roots after one Newton step are kept on the rows whose
+   residual passes the tolerance (on sampled rows almost all do);
+2. aberth_batch from the circle start, on every row the closed form does
+   not certify, so a row's bits do not depend on the rest of the batch;
+3. find_roots on each row still unconverged, alone: its companion start
+   converges where the circle start can miss, and it splits off exact
+   zero roots (near a multiple root at 0 the scale-free residual stays
+   at 1, so neither tier above certifies one).
+
+The Monte Carlo module pushes its samples through mu_rec_batch in blocks of
+a few thousand rows, and mu_rec / nu_rec are its batch of one.
 """
 
 from __future__ import annotations
@@ -140,8 +145,7 @@ def aberth_batch(
     coeffs: (B, d+1) complex, ascending, leading column nonzero in every row.
     start: (B, d) initial root estimates; by default a circle of Cauchy bound
     radius per row.  find_roots passes a polynomial's companion eigenvalues,
-    which pay off for a batch of one only (module docstring).  The cubic
-    rows of mu_rec_batch that fail Cardano's gate pass their Cardano values.
+    which pay off for a batch of one only (module docstring).
     Returns (roots (B, d), residual (B,), converged (B,) bool).  Rows that
     fail to reach tol are reported, not raised; the single-polynomial API
     turns that into NoConvergence, the Monte Carlo driver counts it.
@@ -230,7 +234,8 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
 
     Aberth starts from the companion eigenvalues (see the module docstring)
     and runs to stagnation as in a batch, so the eigenvalues only place the
-    start.  A polynomial whose coefficient ratio c_j/c_d overflows a double
+    start.  A nonzero constant has the empty root set, with residual 0.0.
+    A polynomial whose coefficient ratio c_j/c_d overflows a double
     has no usable monic form and raises NoConvergence.  The returned roots
     are sorted by (real, imag) so equal inputs give identical output, not
     just equal root multisets.
@@ -240,8 +245,6 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
     if arr[-1] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
-    if arr.size == 1:
-        raise ZeroPolynomial("a nonzero constant has no roots")
     # the roots do not change with the scale
     arr = _unit_scaled(arr)[0]
     # x^k divides the polynomial: its k roots are exactly 0, and the
@@ -278,8 +281,6 @@ def mahler_from_roots(coeffs, tol: float = 1e-10) -> float:
         raise ZeroPolynomial("Mahler measure of the zero polynomial")
     if arr[-1] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
-    if arr.size == 1:
-        return float(abs(arr[0]))
     return find_roots(arr, tol).mahler(arr[-1])
 
 
@@ -332,18 +333,16 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cardano_start(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of each monic row cubic (ascending coefficients) by Cardano's
-    formula, and the rows flagged as unusable, whose values are replaced by
-    the circle start.
+    formula, and the rows flagged as unusable.
 
     D1 + s takes s from _aligned_sqrt.  Rows whose values are non-finite
-    or repeat one are flagged.  Equal estimates stay equal under Aberth
-    (see _companion_start), and an exact triple root gives C = 0 and 0/0
-    below.  Values that agree to
-    _CARDANO_REPEAT count as repeats: Cardano places the double root of
-    (y - 3)^2 (y - 0.5i) to within 5e-16, where p and p' are rounding
-    noise, so the first sweep's step already stagnates and the Newton
-    polish then throws the pair 0.02 apart.  From the circle, Aberth leaves
-    a double root spread by about sqrt(eps), where the polish holds.
+    or repeat one are flagged: an exact triple root gives C = 0 and 0/0
+    below, and two equal values can pass the residual gate while they
+    stand for one root twice.  Values that agree to _CARDANO_REPEAT count
+    as repeats: Cardano places the double root of (y - 3)^2 (y - 0.5i) to
+    within 5e-16, where p and p' are rounding noise, so a Newton step can
+    throw the pair 0.02 apart.  From the circle, Aberth leaves a double
+    root spread by about sqrt(eps), where its polish holds.
     """
     c2, c1, c0 = monic[:, 2], monic[:, 1], monic[:, 0]
     d0 = c2 * c2 - 3.0 * c1
@@ -355,35 +354,19 @@ def _cardano_start(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = (c2[:, None] + cw + d0[:, None] / cw) / -3.0
     y0, y1, y2 = y.T
     bad = ~np.all(np.isfinite(y), axis=1) | _near(y0, y1) | _near(y0, y2) | _near(y1, y2)
-    if bad.any():
-        y[bad] = _circle_start(monic[bad])
     return y, bad
 
 
 def _cubic_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 3) roots of each row cubic Q and the rows' converged flags.
-
-    Cardano's roots, after one Newton step, are kept for every row they
-    pass the residual gate on.  Rows they fail, and rows _cardano_start
-    flags, go to aberth_batch from _cardano_start's values, so those rows
-    get the same bits as when the whole batch starts there.  A
-    _cardano_start that returns None sends the whole batch to aberth_batch
-    from the circle.
-    """
+    """(B, 3) roots of each row cubic Q and the rows they are certified on:
+    Cardano's roots after one Newton step, on the rows _cardano_start does
+    not flag and the residual passes tol."""
     monic = q / q[:, -1][:, None]
-    cardano = _cardano_start(monic)
-    if cardano is None:
-        y, _, ok = aberth_batch(q, tol)
-        return y, ok
-    start, bad = cardano
+    start, bad = _cardano_start(monic)
     step = _horner_batch(monic, start) / _horner_batch(monic[:, 1:] * np.arange(1, 4), start)
     step[~np.isfinite(step)] = 0.0
     y = start - step
-    ok = ~bad & (_residual_batch(monic, y) <= tol)
-    retry = np.flatnonzero(~ok)
-    if retry.size:
-        y[retry], _, ok[retry] = aberth_batch(q[retry], tol, start[retry])
-    return y, ok
+    return y, ~bad & (_residual_batch(monic, y) <= tol)
 
 
 def _pair_moduli(y: np.ndarray) -> np.ndarray:
@@ -391,42 +374,34 @@ def _pair_moduli(y: np.ndarray) -> np.ndarray:
 
     The roots are (y +- s)/2 with s = sqrt(y^2 - 4), and the larger is the
     one without cancellation.  The two roots multiply to 1, hence the floor
-    at 1 for rounding on the unit circle.
+    at 1 for rounding on the unit circle; y = 0 is the pair +-i, of modulus
+    exactly 1.
     """
     s = np.sqrt(y * y - 4.0)
     return np.maximum(1.0, 0.5 * np.maximum(np.abs(y + s), np.abs(y - s)))
 
 
-def _q_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(B, m) roots of each row's degree-m Q (ascending coefficients), and
-    the rows' converged flags."""
-    batch, m = q.shape[0], q.shape[1] - 1
+def _batch_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(B, d) roots of each row polynomial of degree d >= 1 (ascending
+    coefficients), and the rows' converged flags: tiers 1 and 2 of the
+    module docstring."""
+    batch, deg = coeffs.shape[0], coeffs.shape[1] - 1
     ok = np.ones(batch, dtype=bool)
-    if m == 0:
-        return np.zeros((batch, 0), dtype=complex), ok
-    if m == 1:
-        return -q[:, :1] / q[:, 1:], ok
-    if m == 2:
-        a, b, c = q[:, 2], q[:, 1], q[:, 0]
+    if deg == 1:
+        roots = -coeffs[:, :1] / coeffs[:, 1:]
+    elif deg == 2:
+        a, b, c = coeffs[:, 2], coeffs[:, 1], coeffs[:, 0]
         t = -0.5 * (b + _aligned_sqrt(b * b - 4.0 * a * c, b))
         # t = 0 only for b = c = 0: a double root at 0
-        return np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1), ok
-    # y^k divides Q: its k roots are exactly 0, and near a multiple root at 0
-    # the scale-free residual stays at 1, so such rows are solved at degree
-    # m - k, as find_roots does
-    strip = np.flatnonzero((q[:, 0] == 0) & (q[:, -1] != 0))
-    if strip.size:
-        k = np.zeros(batch, dtype=int)
-        k[strip] = np.argmax(q[strip] != 0, axis=1)
-        y = np.zeros((batch, m), dtype=complex)
-        for kk in np.unique(k):
-            rows = k == kk
-            y[rows, kk:], ok[rows] = _q_roots(q[rows, kk:], tol)
-        return y, ok
-    if m == 3:
-        return _cubic_roots(q, tol)
-    y, _, ok = aberth_batch(q, tol)
-    return y, ok
+        roots = np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1)
+    elif deg == 3:
+        roots, ok = _cubic_roots(coeffs, tol)
+    else:
+        roots, ok = np.empty((batch, deg), dtype=complex), np.zeros(batch, dtype=bool)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        roots[rest], _, ok[rest] = aberth_batch(coeffs[rest], tol)
+    return roots, ok
 
 
 def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -437,43 +412,33 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     With y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q whose
     coefficients come from symfun.pair_basis: Q = v_N prod (y + beta_n),
     and each root y = -beta_n carries the root pair of x^2 - y x + 1, which
-    contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots are
-    closed form for N <= 2 (the quadratic in cancellation-free form), come
-    from Cardano behind a residual gate at N = 3 (_cubic_roots) and from
-    aberth_batch at degree N up to N = 8; above that the degree-2N
-    palindrome x^N p_v is solved instead (see Y_MAX_ORDER).  A factor y^k
-    of Q is split off first.  Each row the batch solve leaves unconverged,
-    with finite entries and v_N != 0, is retried alone through find_roots
-    on the same polynomial: v = (1e50, 1, ..., 1) at 4 <= N <= 10 needs
-    the companion start.  Every row is computed on its own, so a row's
-    result does not depend on the batch it comes in.  A row that fails the
-    root solve or gives a non-finite measure, as one with v_N = 0 does,
-    reports inf and converged False.
+    contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots, or the
+    degree-2N palindrome's above N = 8 (see Y_MAX_ORDER), come from the
+    three tiers of the module docstring; the find_roots retry takes only
+    rows with finite entries and v_N != 0.  v = (1e50, 1, ..., 1) at
+    4 <= N <= 10 needs its companion start.  Every row is computed on its
+    own, so a row's result does not depend on the batch it comes in.  A row
+    that fails the root solve or gives a non-finite measure, as one with
+    v_N = 0 does, reports inf and converged False.  N >= 1: mu_rec takes
+    N = 0.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[1] - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n > Y_MAX_ORDER:
-            coeffs = lambda_embed(v)
-            x, _, ok = aberth_batch(coeffs, tol)
-            moduli = np.maximum(1.0, np.abs(x))
+            coeffs, moduli_of = lambda_embed(v), lambda x: np.maximum(1.0, np.abs(x))
         else:
-            coeffs = v @ pair_basis(n)
-            y, ok = _q_roots(coeffs, tol)
-            # a root y = 0 is the root pair +-i, of modulus exactly 1
-            moduli = _pair_moduli(y)
-        # the circle start can miss where the companion start converges
+            coeffs, moduli_of = v @ pair_basis(n), _pair_moduli
+        roots, ok = _batch_roots(coeffs, tol)
+        moduli = moduli_of(roots)
+        # tier 3: the circle start can miss where the companion start converges
         for row in np.flatnonzero(~ok):
             if not (np.all(np.isfinite(v[row])) and v[row, -1] != 0):
                 continue
             try:
-                roots = find_roots(coeffs[row], tol).roots
+                moduli[row] = moduli_of(find_roots(coeffs[row], tol).roots)
             except NoConvergence:
                 continue
-            if n > Y_MAX_ORDER:
-                moduli[row] = np.maximum(1.0, np.abs(roots))
-            else:
-                moduli[row] = _pair_moduli(roots)
             ok[row] = True
         # np.prod's order, column by column: its reduction along a short
         # axis costs about 20 ns a row

@@ -10,8 +10,9 @@ distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
 Each sampled vector v = (v_0, ..., v_N) goes straight to
 measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
-roots for N <= 3, at N = 3 behind a residual gate whose rare failures fall
-back to Aberth, and above that a degree-N Aberth solve.
+roots for N <= 3, at N = 3 behind a residual gate, and a degree-N Aberth
+solve for every row the closed form does not certify, which at N >= 4 is
+every row.
 
 A chunk is built and measured in row blocks of _BLOCK = 4096.  For a whole
 chunk the root kernel's temporaries take a megabyte per complex column, and

@@ -57,6 +57,16 @@ def test_measure_accepts_plain_numbers(capsys):
     assert rep["numeric_results"]["mahler_from_roots"] == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("coeffs", ["[5]", "[[3,4]]"])
+def test_measure_of_a_nonzero_constant(capsys, coeffs):
+    code, rep, _ = invoke_json(capsys, ["measure", "--coeffs", coeffs])
+    assert code == 0
+    assert rep["numeric_results"]["mahler_from_roots"] == 5.0
+    assert rep["numeric_results"]["mahler_quadrature"] == pytest.approx(5.0, rel=1e-14)
+    assert rep["numeric_results"]["root_residual"] == 0.0
+    assert rep["checks"][0]["status"] == "pass"
+
+
 def test_measure_coeffs_file_matches_inline(capsys, tmp_path):
     text = "[[1,0],[0,2],[1,0]]"
     _, out_inline, _ = invoke(capsys, ["measure", "--coeffs", text])
@@ -254,6 +264,22 @@ def test_mc_without_hits_reports_valid_json(capsys):
     check = rep["checks"][0]
     assert check["status"] == "fail"
     assert "no sample hit the target set" in check["detail"]
+
+
+def test_mc_at_xi_one_passes_without_hits(capsys):
+    """h_N(1) = 0 exactly, so an estimate with no hit is right."""
+    code, out, _ = invoke(
+        capsys, ["mc", "--mode", "hn", "--N", "2", "--xi", "1", "--samples", "10000"]
+    )
+    rep = json.loads(out, parse_constant=_no_constants)
+    assert code == 0
+    assert rep["numeric_results"]["estimate"]["mean"] == 0.0
+    assert rep["numeric_results"]["target"] == 0.0
+    assert rep["numeric_results"]["z_score"] is None
+    check = rep["checks"][0]
+    assert check["status"] == "pass"
+    assert "no sample hit the target set" in check["detail"]
+    assert "exactly 0" in check["detail"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

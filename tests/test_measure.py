@@ -23,6 +23,7 @@ from recmahler.measure import (
     nu_rec,
 )
 from recmahler.polynomials import lambda_embed, RecipLaurent
+from recmahler.symfun import pair_basis
 
 
 def random_poly(rng, degree):
@@ -57,8 +58,8 @@ def test_find_roots_sorted_deterministically():
 def test_find_roots_input_errors():
     with pytest.raises(ZeroPolynomial):
         find_roots([0.0, 0.0])
-    with pytest.raises(ZeroPolynomial):
-        find_roots([3.0])
+    constant = find_roots([3.0])
+    assert constant.roots.size == 0 and constant.residual == 0.0
     with pytest.raises(DegenerateLeadingCoefficient):
         find_roots([1.0, 2.0, 0.0])
 
@@ -392,9 +393,14 @@ def test_mu_rec_batch_reports_unsolvable_rows(n_order):
 # the N = 3 kernel starts Aberth from Cardano's roots
 
 
+def certify_no_row(q, tol):
+    return np.empty((len(q), 3), dtype=complex), np.zeros(len(q), dtype=bool)
+
+
 def circle_started(monkeypatch):
-    """mu_rec_batch with every cubic batch started on the Cauchy circle."""
-    monkeypatch.setattr(measure, "_cardano_start", lambda q: None)
+    """mu_rec_batch with every cubic row sent to aberth_batch, which starts
+    it on the Cauchy circle."""
+    monkeypatch.setattr(measure, "_cubic_roots", certify_no_row)
 
 
 CARDANO_EDGE_ROWS = [
@@ -475,12 +481,58 @@ def test_cardano_start_needs_one_aberth_sweep(monkeypatch):
 )
 def test_mu_rec_batch_splits_off_exact_zero_roots_of_q(lead, ys):
     """A multiple root at 0 keeps the scale-free residual at 1 however
-    close the estimate, so y^k is split off as find_roots splits off x^k."""
+    close the estimate, so such rows go to find_roots, which splits off x^k."""
     v, expect = from_y_roots(lead, ys)
     meas, ok = mu_rec_batch(np.stack([v, v + 1.0]))
     assert bool(ok[0])
     assert meas[0] == pytest.approx(expect, rel=1e-12)
     assert meas[1] == pytest.approx(mu_rec(v + 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        [0.0, 0.0, 2.5],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.5, -3.0],
+        [0.0, 1.0, 0.0, 1.0],
+        [0.0, 1j, 2.5, 0.0, -1.0],
+    ],
+)
+def test_each_multiple_zero_root_row_calls_find_roots_once(monkeypatch, ys):
+    """Near a multiple root at 0 the scale-free residual stays at 1, so
+    neither the closed-form cubic nor Aberth certifies the row, and each
+    such row reaches the one-row retry, which splits off the zero roots."""
+    v, expect = from_y_roots(1.0, ys)
+    calls = []
+    solve = measure.find_roots
+
+    def recorded(coeffs, tol=1e-10):
+        calls.append(len(coeffs))
+        return solve(coeffs, tol)
+
+    monkeypatch.setattr(measure, "find_roots", recorded)
+    meas, ok = mu_rec_batch(np.stack([v, v + 1.0, 2.0 * v]))
+    assert calls == [len(ys) + 1] * 2
+    assert bool(np.all(ok))
+    assert meas[2] == pytest.approx(2.0 * expect, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        [0.0, 0.5, 0.5],  # (x^2 + 1)(x^2 - 0.5 x + 1)^2
+        [0.0, 0.0, 1.0 + 2j, 1.0 + 2j],
+    ],
+)
+def test_zero_root_beside_a_repeated_root_keeps_1e_8(ys):
+    """Aberth solves the repeated root, from the circle or after find_roots
+    splits off the zero roots, and a repeated root costs it about half the
+    digits."""
+    v, expect = from_y_roots(1.0, ys)
+    meas, ok = mu_rec_batch(v[None, :])
+    assert bool(ok[0])
+    assert meas[0] == pytest.approx(expect, rel=1e-8)
 
 
 def test_nu_rec_of_a_power_of_x_squared_plus_one():
@@ -492,8 +544,11 @@ def test_nu_rec_of_a_power_of_x_squared_plus_one():
 
 
 def aberth_from_cardano(q, tol):
-    """The reference cubic solve: Aberth from _cardano_start on every row."""
-    start, _ = measure._cardano_start(q / q[:, -1][:, None])
+    """The reference cubic solve: Aberth from _cardano_start on every row,
+    and from the circle start on the rows it flags."""
+    monic = q / q[:, -1][:, None]
+    start, bad = measure._cardano_start(monic)
+    start[bad] = measure._circle_start(monic[bad])
     y, _, ok = aberth_batch(q, tol, start)
     return y, ok
 
@@ -528,23 +583,6 @@ def test_clean_cubic_batch_runs_one_newton_step_and_the_gate(monkeypatch):
     assert len(calls) <= 4
 
 
-def test_patched_out_cardano_runs_the_whole_batch_from_the_circle(monkeypatch):
-    v = np.array(CARDANO_EDGE_ROWS[9:] + list(sampled_cubics(64)))
-    solves = []
-    solve = measure.aberth_batch
-
-    def recorded(coeffs, tol=1e-10, start=None):
-        solves.append((len(coeffs), start))
-        return solve(coeffs, tol, start)
-
-    monkeypatch.setattr(measure, "aberth_batch", recorded)
-    circle_started(monkeypatch)
-    mu_rec_batch(v)
-    assert solves[0] == (len(v), None)
-    # what follows are find_roots's one-row retries
-    assert all(size == 1 for size, _ in solves[1:])
-
-
 def test_flagged_and_failing_cubic_rows_keep_the_aberth_bits(monkeypatch):
     """Rows that go to Aberth start where the whole batch would have, so
     they get the bits of the all-Aberth reference."""
@@ -565,6 +603,23 @@ def test_flagged_and_failing_cubic_rows_keep_the_aberth_bits(monkeypatch):
     # the repeated-root rows and the non-finite rows are flagged
     assert np.array_equal(meas[:9], ref[:9])
     assert np.all(np.abs(meas[ok] - ref[ok]) <= 1e-12 * ref[ok])
+
+
+def test_uncertified_cubic_rows_get_the_bits_of_aberth_from_the_circle():
+    """Rows _cardano_start flags and rows the residual gate fails both go to
+    aberth_batch with its default start."""
+    zero_roots = [from_y_roots(1.0, ys)[0] for ys in ([0.0, 1.0, 2.0], [0.5, -1.5j, 0.0])]
+    q = np.array(CARDANO_EDGE_ROWS + zero_roots + list(sampled_cubics(64))) @ pair_basis(3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, flagged = measure._cardano_start(q / q[:, -1][:, None])
+        _, certified = measure._cubic_roots(q, 1e-10)
+        roots, ok = measure._batch_roots(q, 1e-10)
+        rows = np.flatnonzero(~certified)
+        ref, _, ref_ok = aberth_batch(q[rows], 1e-10)
+    assert np.any(flagged[rows]) and not np.all(flagged[rows])
+    assert certified.sum() >= 64
+    assert roots[rows].tobytes() == ref.tobytes()
+    assert ok[rows].tobytes() == ref_ok.tobytes()
 
 
 def test_pair_moduli_match_the_aligned_square_root_bit_for_bit():

@@ -237,7 +237,12 @@ def test_cardano_start_keeps_the_order_three_tallies(monkeypatch):
         lambda: montecarlo._box_estimate(vol_radii, None, 16.0, 20_000, 5, 1),
     ]
     cardano = [run() for run in runs]
-    monkeypatch.setattr(measure, "_cardano_start", lambda q: None)
+    # every cubic row goes to aberth_batch, which starts it on the circle
+    monkeypatch.setattr(
+        measure,
+        "_cubic_roots",
+        lambda q, tol: (np.empty((len(q), 3), dtype=complex), np.zeros(len(q), dtype=bool)),
+    )
     assert [run() for run in runs] == cardano
     for est in cardano[2:]:
         assert 0.1 < est.mean / est.region_volume < 0.9
