@@ -307,7 +307,9 @@ def _cmd_mc(args) -> int:
         target = h_eval(args.N, args.xi)
         target_str = "h_N(xi) closed form"
     else:
-        est = montecarlo.mc_volume(args.N, args.samples, args.seed, args.workers)
+        if args.xi is not None:
+            raise ValueError("--xi is only for --mode hn: --mode volume estimates {mu <= 1}")
+        est =montecarlo.mc_volume(args.N, args.samples, args.seed, args.workers)
         target = volume_exact(args.N).to_float()
         target_str = "star body volume closed form"
     z = None
@@ -374,7 +376,8 @@ class _Usage(Exception):
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
 # its default grid); volume's float value would overflow from N = 618.
 # mc stops where the measure kernel's y-route ends: from N = 9 it solves the
-# degree-2N palindrome, and --mode volume --N 9 takes ten times as long.
+# degree-2N palindrome, ten times as slow a row at N = 9 (though from N = 5
+# the Monte Carlo screen lets almost no box row reach the kernel).
 # jacobian-test stops where central differences still resolve the 2N x 2N
 # determinant to its 1e-5 tolerance: every seed from 0 to 99 passes at
 # N = 7, and 6 of them fail at N = 8.

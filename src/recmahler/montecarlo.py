@@ -8,18 +8,47 @@ every k-subset product is at most prod max(1, |root|)).  The indicator of
 {nu_rec <= xi} integrated over that region times the region volume is the
 distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
-Each sampled vector v = (v_0, ..., v_N) goes straight to
-measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
+Each sampled vector v = (v_0, ..., v_N) that the screen below keeps goes
+to measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
 roots for N <= 3, at N = 3 behind a residual gate, and a degree-N Aberth
 solve for every row the closed form does not certify, which at N >= 4 is
 every row.
 
-A chunk is built and measured in row blocks of _BLOCK = 4096.  For a whole
-chunk the root kernel's temporaries take a megabyte per complex column, and
-at N = 8 Aberth's (rows, N, N) arrays take 67 MB each: every fresh page
-costs a page fault, and the process keeps its largest size.  A block's
-temporaries stay in cache and are reused.  The kernel works row by row and
-the tallies are integers, so blocks change no bit of an estimate.
+The screen.  The kernel's Q(y) = sum q_k y^k has q = v @ pair_basis(N),
+and q_k = v_N e_{N-k}(beta) for the pair sums beta_n = alpha_n + 1/alpha_n.
+With l = |v_N| and t_n = log max(|alpha_n|, 1/|alpha_n|) >= 0, a row has
+mu_rec = l exp(sum t_n), so mu_rec <= tau puts t in the simplex
+{t >= 0, sum t <= log(tau / l)}, and |beta_n| <= 2 cosh t_n gives
+|q_k| <= l e_{N-k}(2 cosh t).  Every product of cosh's is log-convex, so
+e_j(2 cosh t) is convex and peaks at a vertex of the simplex, at
+t = (log(tau / l), 0, ..., 0):
+
+    |q_k| <= l C(N-1, N-k) 2^(N-k) + (tau + l^2/tau) C(N-1, N-k-1) 2^(N-k-1)
+
+for every k < N, with equality at alpha = (tau / l, 1, ..., 1).  The box
+comes from Mahler's bound on the palindrome's coefficients; the same
+reasoning on Q leaves a region about 9 times smaller at N = 2.  A row is
+dropped when some |q_k| is above its bound by more than two margins: q's
+rounding, here and in the kernel, 4 eps (N + 2) sum_m r_m |P_mk| over the
+box's radii r; and 1e-4 of the bound, over twenty times the kernel's worst
+documented error (4.4e-6 relative, at a triple root).  So no row that the
+kernel puts at or below tau is dropped, and hits, and hence estimates, keep
+every bit.  A dropped row cannot count as a rejection either, and the
+tests check that rejections match the unscreened run too.  Rows with
+v_N = 0 or a non-finite entry always reach the kernel, which scores them
+as rejections.  Kept are about 11% of the hn box rows at N = 2 (16% in
+volume mode), 1-3% at N = 3, and from N = 5 almost none.  N = 1 is not
+screened: there the kernel costs one division a row, less than the
+screen, and the samples go to it uncopied.
+
+A chunk is built, screened and measured in row blocks of _BLOCK = 4096.
+For a whole chunk the root kernel's temporaries take a megabyte per complex
+column, and at N = 8 Aberth's (rows, N, N) arrays take 67 MB each: every
+fresh page costs a page fault, and the process keeps its largest size.  A
+block's temporaries stay in cache and are reused.  The rows a chunk keeps
+reach the kernel _BLOCK at a time, so one N = 2 chunk makes about 2 calls
+instead of 16.  The kernel works row by row and the tallies are integers,
+so blocks change no bit of an estimate.
 
 Reproducibility: draws come from the Philox counter-based generator, keyed
 by the user seed with the chunk index placed in the counter's top word.
@@ -31,6 +60,7 @@ Chunk tallies are integers, which makes the reduction order immaterial.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +70,7 @@ import numpy as np
 
 from .errors import EvaluationOverflow, NoConvergence
 from .measure import mu_rec_batch
+from .symfun import pair_basis
 
 CHUNK = 1 << 16
 # rows per mu_rec_batch call (module docstring)
@@ -47,15 +78,22 @@ _BLOCK = 4096
 # residual target of the degree-N root solve for N >= 3
 _ROOT_TOL = 1e-9
 _REJECTION_CAP = 1e-6
+# the screen's margins (module docstring): a relative one well above the
+# root kernel's worst documented error, and q's rounding in units of
+# (N + 2) * sum_m r_m |P_mk| over the box's radii r
+_SCREEN_REL = 1e-4
+_SCREEN_ROUNDING = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class MCEstimate:
     """A mean with its standard error and the run's audit fields.
 
-    rejections counts samples whose root solve failed to converge; they are
-    scored as misses and must stay below 1e-6 of the total, which the
-    drivers enforce before returning.
+    solved counts the samples that reached the root kernel, the rest having
+    been screened out as provable misses.  rejections counts the solved
+    samples whose root solve failed to converge; they are scored as misses
+    and must stay below 1e-6 of the total, which the drivers enforce before
+    returning.
     """
 
     mean: float
@@ -64,6 +102,7 @@ class MCEstimate:
     seed: int
     region_volume: float
     rejections: int = 0
+    solved: int = 0
 
 
 def bounding_radii(n_order: int, xi: float) -> np.ndarray:
@@ -107,13 +146,13 @@ def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray) -> np
 
 
 def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):
-    """Map chunk_fn(gen, count) over fixed chunks, reduce integer tallies."""
+    """Map chunk_fn(gen, count) over fixed chunks, sum its integer tallies."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     n_chunks = (samples + CHUNK - 1) // CHUNK
     threads = min(workers, n_chunks, os.cpu_count() or 1)
 
-    def work(ci: int) -> tuple[int, int]:
+    def work(ci: int) -> tuple[int, ...]:
         count = min(CHUNK, samples - ci * CHUNK)
         return chunk_fn(_chunk_generator(seed, ci), count)
 
@@ -122,9 +161,56 @@ def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tallies = list(pool.map(work, range(n_chunks)))
-    hits = sum(t[0] for t in tallies)
-    rejections = sum(t[1] for t in tallies)
-    return hits, rejections
+    return tuple(sum(column) for column in zip(*tallies))
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_terms(n_order: int) -> tuple[tuple[tuple, float, float], ...]:
+    """For each k < N: the terms (m, P_mk), m > k, of q_k = v_k + sum P_mk v_m
+    with P = pair_basis(N), and the weights (A_k, B_k) of the bound
+    |q_k| <= l A_k + (tau + l^2 / tau) B_k, widened by _SCREEN_REL."""
+    basis = pair_basis(n_order)
+    grow = 1.0 + _SCREEN_REL
+    out = []
+    for k in range(n_order):
+        j = n_order - k
+        terms = tuple((m, float(basis[m, k])) for m in range(k + 1, n_order + 1) if basis[m, k])
+        a = grow * math.comb(n_order - 1, j) * 2.0 ** j
+        b = grow * math.comb(n_order - 1, j - 1) * 2.0 ** (j - 1)
+        out.append((terms, a, b))
+    return tuple(out)
+
+
+def _may_hit(
+    block: np.ndarray, lead: complex | None, threshold: float, slack: np.ndarray
+) -> np.ndarray:
+    """Mask of the rows of block that may measure at most threshold: all
+    but those with some |q_k|, k < N, above the bound on {mu_rec <=
+    threshold} by more than the margins (module docstring), slack_k being
+    q_k's rounding.  block ends with v_N when lead is None.  A row with
+    v_N = 0 or a non-finite entry is kept.
+
+    q is formed a column at a time from P's nonzero entries: a reduction
+    along a short row axis costs about 30 ns a row.
+    """
+    n = block.shape[1] - (lead is None)
+    with np.errstate(invalid="ignore", over="ignore"):
+        top = block[:, n] if lead is None else lead
+        ell = np.abs(top)
+        far = threshold + ell * ell / threshold
+        # sum of every |q_k|: finite exactly when the row is (q is
+        # unitriangular in v), short of an overflow, which only keeps a row
+        total = ell
+        miss = np.zeros(len(block), dtype=bool)
+        for k, (terms, a, b) in enumerate(_screen_terms(n)):
+            q = block[:, k]
+            for m, coeff in terms:
+                q = q + coeff * (top if m == n else block[:, m])
+            size = np.abs(q)
+            miss |= size > ell * a + far * b + slack[k]
+            total = total + size
+        miss &= (ell > 0) & np.isfinite(total)
+    return ~miss
 
 
 def _box_estimate(
@@ -138,23 +224,33 @@ def _box_estimate(
     """Estimate of vol{v : mu_rec(v) <= threshold} from v uniform on the
     product of disks with these radii, followed by the fixed leading
     coefficient lead, or with v_N sampled by the last disk when lead is None.
-    A box whose volume overflows a double raises EvaluationOverflow before
-    any sample is drawn.
+    From N = 2 only the rows _may_hit keeps reach the root kernel.  A box
+    whose volume overflows a double raises EvaluationOverflow before any
+    sample is drawn.
     """
+    n_order = radii.size - (lead is None)
     # every factor is at least pi, so an overflow on the way is one at the end
     with np.errstate(over="ignore"):
         volume = float(np.prod(np.pi * radii ** 2))
     if not math.isfinite(volume):
-        n_order = radii.size - (lead is None)
         raise EvaluationOverflow(
             f"Monte Carlo box volume at N = {n_order}, xi = {threshold:.15g} "
             "overflows a double"
         )
+    basis = np.abs(pair_basis(n_order))
+    full_radii = radii if lead is None else np.append(radii, abs(lead))
+    # q's rounding here and in the kernel, which sums in its own order
+    slack = _SCREEN_ROUNDING * (n_order + 2) * (full_radii @ basis)[:-1]
 
-    def chunk(gen: np.random.Generator, count: int) -> tuple[int, int]:
+    def chunk(gen: np.random.Generator, count: int) -> tuple[int, int, int]:
         v = _sample_disks(gen, count, radii)
+        if n_order > 1:
+            v = np.concatenate([
+                block[_may_hit(block, lead, threshold, slack)]
+                for block in np.split(v, range(_BLOCK, count, _BLOCK))
+            ])
         hits = rejections = 0
-        for first in range(0, count, _BLOCK):
+        for first in range(0, len(v), _BLOCK):
             block = v[first : first + _BLOCK]
             if lead is not None:
                 block = np.concatenate(
@@ -165,9 +261,9 @@ def _box_estimate(
             meas, ok = mu_rec_batch(block, _ROOT_TOL)
             hits += int(np.count_nonzero(meas <= threshold))
             rejections += int(np.count_nonzero(~ok))
-        return hits, rejections
+        return hits, rejections, len(v)
 
-    hits, rejections = _run_chunks(samples, seed, workers, chunk)
+    hits, rejections, solved = _run_chunks(samples, seed, workers, chunk)
     if rejections > _REJECTION_CAP * samples:
         raise NoConvergence(f"{rejections} of {samples} samples failed the root solve")
     p = hits / samples
@@ -178,6 +274,7 @@ def _box_estimate(
         seed=seed,
         region_volume=volume,
         rejections=rejections,
+        solved=solved,
     )
 
 

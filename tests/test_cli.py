@@ -298,6 +298,15 @@ def test_mc_requires_xi_in_hn_mode(capsys):
     assert "xi" in err
 
 
+def test_mc_rejects_xi_in_volume_mode(capsys):
+    """The volume estimate is of {mu <= 1} whatever --xi says, so a given
+    --xi is refused rather than echoed into the report's inputs."""
+    code, out, err = invoke(capsys, ["mc", "--mode", "volume", "--N", "2", "--xi", "1.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --xi ") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # table
 
@@ -396,6 +405,7 @@ ERROR_DIGESTS = {
     ("jacobian-test", "--N", "2", "--step", "0"): (2, "27f2273f1d52edf63cd6e7d41bce6ec9403a90741d962e6688deb673dfd82f9b"),
     ("jacobian-test", "--points", "0"): (2, "ae51eb34ace06da703b8750ff646ae4961aed637e6b14c60b4ccd963b7e99222"),
     ("mc", "--mode", "hn", "--N", "1"): (2, "febdeffa2c44eacb850c57fc3e7d2b751c6662f8670958464df07e8626ca62b9"),
+    ("mc", "--mode", "volume", "--N", "2", "--xi", "1.5"): (2, "af0e715437d475552fb9f9c98b7ed0da8aa0ea395e27682c809ecf53f41270d6"),
     ("frobnicate",): (2, "8b29fc449b921f6e62a83c71a811401eafa68cdf075a03085b40648ebca5e6a7"),
     ("hn", "--N", "200", "--xi", "10"): (3, "89b6809556154ee70ec5aa39282d7d4a84b1c6e172352c13522a9a0790af6ac5"),
     ("table", "--N", "200", "--start", "6", "--stop", "6.01"): (3, "092f38004208e85dd34ab3ecf374bb0a4408b331455bf2ae72c56792f231e126"),

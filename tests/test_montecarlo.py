@@ -1,6 +1,7 @@
 """Monte Carlo estimators: bounding regions, counter-based reproducibility,
 error accounting, and agreement with the closed forms."""
 
+import dataclasses
 import math
 import os
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from recmahler import measure, montecarlo
-from recmahler.errors import EvaluationOverflow
+from recmahler.errors import EvaluationOverflow, NoConvergence
 from recmahler.measure import mu_rec_batch
 from recmahler.montecarlo import (
     CHUNK,
@@ -20,6 +21,7 @@ from recmahler.montecarlo import (
     mc_volume,
 )
 from recmahler.spectral import h_eval, volume_exact
+from recmahler.symfun import pair_basis
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +325,141 @@ def test_closed_form_cubic_keeps_the_order_three_tallies(monkeypatch):
     assert list(runs()) == closed
     shares = [est.mean / est.region_volume for est in closed[20:]]
     assert min(shares) > 0.1 and max(shares) < 0.9
+
+
+# ---------------------------------------------------------------------------
+# the screen on Q's coefficients
+
+
+def _keep_all(block, lead, threshold, slack):
+    return np.ones(len(block), dtype=bool)
+
+
+def _unscreened(est):
+    """est as it reads when every sample reaches the root kernel."""
+    return dataclasses.replace(est, solved=est.samples)
+
+
+@pytest.mark.parametrize("mode", ["hn", "volume"])
+@pytest.mark.parametrize("n_order", [2, 3, 4, 5])
+def test_screen_keeps_every_row_at_or_below_the_threshold(mode, n_order):
+    """Every row of a 2x inflated box is measured; at the nominal threshold
+    and at thresholds that 1% to 50% of the rows meet, each row the kernel
+    puts at or below the threshold passes the screen, here without its
+    rounding slack."""
+    count = 2 * montecarlo._BLOCK
+    xi = 1.2 if mode == "hn" else 1.0
+    radii = 2.0 * bounding_radii(n_order, xi)
+    lead = 1.0
+    if mode == "volume":
+        radii, lead = np.append(radii, 2.0), None
+    v = _sample_disks(_chunk_generator(9100 + n_order, 0), count, radii)
+    full = v if lead is None else np.concatenate([v, np.ones((count, 1))], axis=1)
+    meas, ok = mu_rec_batch(full, 1e-9)
+    assert bool(np.all(ok))
+    slack = np.zeros(n_order)
+    for threshold in [xi] + list(np.quantile(meas, [0.01, 0.1, 0.5])):
+        kept = montecarlo._may_hit(v, lead, threshold, slack)
+        assert bool(np.all(kept[meas <= threshold]))
+    # the screen is not vacuous: at the nominal threshold it drops rows
+    assert not np.all(montecarlo._may_hit(v, lead, xi, slack))
+
+
+def _vertex_row(n_order, lead, threshold, sign, stretch=1.0):
+    """(v_0, ..., v_N) of lead * prod (x^2 + beta_n x + 1) for the roots at
+    the bound's vertex: every alpha = sign except one pair at
+    sign * stretch * threshold / |lead|, of measure stretch * threshold."""
+    alpha = sign * stretch * threshold / abs(lead)
+    pal = np.array([lead], dtype=complex)
+    for beta in [2.0 * sign] * (n_order - 1) + [alpha + 1.0 / alpha]:
+        pal = np.convolve(pal, [1.0, beta, 1.0])
+    return pal[n_order:]
+
+
+@pytest.mark.parametrize("n_order", [2, 3, 5, 8])
+def test_screen_keeps_the_vertex_rows(n_order):
+    """At the vertex rows every |q_k| meets its bound, so these rows sit on
+    the screen's edge: they are kept, while the same rows with the large
+    root pair moved 10% out are dropped."""
+    a_b = [(a, b) for _, a, b in montecarlo._screen_terms(n_order)]
+    slack = np.zeros(n_order)
+    for lead, threshold in [(1.0, 1.0), (1.0, 1.5), (0.5, 1.0), (1e-3, 1.0), (-2.0j, 40.0)]:
+        ell = abs(lead)
+        for sign in (1.0, -1.0):
+            v = _vertex_row(n_order, lead, threshold, sign)
+            q = np.abs(v @ pair_basis(n_order))
+            far = threshold + ell**2 / threshold
+            bound = [(ell * a + far * b) / (1.0 + montecarlo._SCREEN_REL) for a, b in a_b]
+            assert np.allclose(q[:-1], bound, rtol=1e-12, atol=0.0)
+            rows = v[None, :]
+            assert montecarlo._may_hit(rows, None, threshold, slack).tolist() == [True]
+            assert montecarlo._may_hit(rows[:, :-1], lead, threshold, slack).tolist() == [True]
+            if threshold / ell >= 1.5:
+                out = _vertex_row(n_order, lead, threshold, sign, stretch=1.1)[None, :]
+                assert montecarlo._may_hit(out, None, threshold, slack).tolist() == [False]
+
+
+@pytest.mark.parametrize("mode", ["hn", "volume"])
+@pytest.mark.parametrize(
+    "n_order", [1, 2, 3] + [pytest.param(n, marks=pytest.mark.slow) for n in (4, 5)]
+)
+def test_screen_keeps_every_tally(monkeypatch, mode, n_order):
+    """Hits and rejections against the run where every sample reaches the
+    kernel, for seeds 0-9 on a partial last block, and on two chunks that
+    two workers run on two threads when there are two CPUs."""
+
+    def runs():
+        for seed in range(10):
+            if mode == "hn":
+                yield mc_hN(n_order, 1.5, 10_000, seed=seed)
+            else:
+                yield mc_volume(n_order, 10_000, seed=seed)
+        if mode == "hn":
+            yield mc_hN(n_order, 1.5, 70_000, seed=10, workers=2)
+        else:
+            yield mc_volume(n_order, 70_000, seed=10, workers=2)
+
+    screened = list(runs())
+    monkeypatch.setattr(montecarlo, "_may_hit", _keep_all)
+    assert [_unscreened(est) for est in screened] == list(runs())
+
+
+def test_screen_keeps_the_order_three_threshold_tallies(monkeypatch):
+    """The thresholds of test_closed_form_cubic_keeps_the_order_three_tallies,
+    which 10% to 90% of the box meets."""
+    radii = bounding_radii(3, 1.5)
+    vol_radii = np.append(bounding_radii(3, 1.0), 1.0)
+
+    def runs():
+        for threshold in (17.0, 25.0, 34.0):
+            yield montecarlo._box_estimate(radii, 1.0, threshold, 10_000, 7, 1)
+        for threshold in (11.5, 17.0, 22.5):
+            yield montecarlo._box_estimate(vol_radii, None, threshold, 10_000, 7, 1)
+
+    screened = list(runs())
+    monkeypatch.setattr(montecarlo, "_may_hit", _keep_all)
+    assert [_unscreened(est) for est in screened] == list(runs())
+
+
+def test_rows_without_a_leading_coefficient_reach_the_kernel(monkeypatch):
+    """A volume row with v_N = 0 and one with a NaN entry are not screened
+    out: each scores as a rejection, and two rejections in 10^4 samples are
+    over the cap."""
+    sample = montecarlo._sample_disks
+
+    def with_bad_rows(gen, count, radii):
+        v = sample(gen, count, radii)
+        v[5, -1] = 0.0
+        v[7, 0] = complex("nan")
+        return v
+
+    monkeypatch.setattr(montecarlo, "_sample_disks", with_bad_rows)
+    with pytest.raises(NoConvergence, match="^2 of 10000 samples failed the root solve$"):
+        mc_volume(2, 10_000, seed=1)
+
+
+def test_solved_counts_the_rows_that_reach_the_kernel():
+    for est in (mc_hN(1, 1.5, 10_000, seed=2), mc_volume(1, 10_000, seed=2)):
+        assert est.solved == est.samples
+    est = mc_hN(2, 1.5, 1 << 16, seed=1)
+    assert 0 < est.solved <= 0.12 * est.samples
