@@ -34,15 +34,16 @@ monomial basis loses accuracy, it solves the degree-2N palindrome instead.
 Either polynomial goes through one fallback chain, and each row takes one
 path through its three tiers:
 
-1. a closed form where one exists: degree 1, degree 2, and degree 3, where
-   Cardano's roots after one Newton step are kept on the rows whose
-   residual passes the tolerance (on sampled rows almost all do);
-2. aberth_batch from the circle start, on every row the closed form does
-   not certify, so a row's bits do not depend on the rest of the batch;
-3. find_roots on each row still unconverged, alone: its companion start
-   converges where the circle start can miss, and it splits off exact
-   zero roots (near a multiple root at 0 the scale-free residual stays
-   at 1, so neither tier above certifies one).
+1. the exact closed form at degree 1 and 2;
+2. aberth_batch from the circle start at every higher degree, so a row's
+   bits do not depend on the rest of the batch;
+3. find_roots on each row still unconverged or whose measure is not
+   finite, alone: its companion start converges where the circle start
+   can miss, and it splits off exact zero roots (near a multiple root at
+   0 the scale-free residual stays at 1, so Aberth does not certify one).
+   The retry solves the row scaled into range, so a row near either end
+   of the double range, whose pair-basis coefficients or closed-form
+   intermediates overflow, still gets its measure.
 
 The Monte Carlo module pushes its samples through mu_rec_batch in blocks of
 a few thousand rows, and mu_rec / nu_rec are its batch of one.
@@ -105,6 +106,13 @@ def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     if abs(e) <= _SCALE_EXPONENT:
         return arr, 0
     return np.ldexp(arr.real, -e) + 1j * np.ldexp(arr.imag, -e), e
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    """ValueError naming the first entry of arr that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"coefficient c_{bad[0]} = {arr[bad[0]]} is not finite")
 
 
 def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -235,7 +243,8 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
     Aberth starts from the companion eigenvalues (see the module docstring)
     and runs to stagnation as in a batch, so the eigenvalues only place the
     start.  A nonzero constant has the empty root set, with residual 0.0.
-    A polynomial whose coefficient ratio c_j/c_d overflows a double
+    A coefficient that is not finite raises ValueError.  A polynomial
+    whose coefficient ratio c_j/c_d overflows a double
     has no usable monic form and raises NoConvergence.  The returned roots
     are sorted by (real, imag) so equal inputs give identical output, not
     just equal root multisets.
@@ -243,6 +252,7 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
     arr = np.asarray(coeffs, dtype=complex)
     if arr.ndim != 1 or arr.size == 0 or not np.any(arr != 0):
         raise ZeroPolynomial("root finding needs a nonzero polynomial")
+    _require_finite(arr)
     if arr[-1] == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
     # the roots do not change with the scale
@@ -299,13 +309,15 @@ def mahler_quadrature(coeffs, nodes: int = 4096) -> float:
 
     Midpoint nodes t_j = (j + 1/2)/nodes keep t = 0 out of the stencil.
     Exact zeros of |f| at a node are a hard failure: the log-integral
-    is still finite, but this rule cannot see that.
+    is still finite, but this rule cannot see that.  A coefficient that is
+    not finite raises ValueError.
     """
     if nodes < 16:
         raise ValueError("at least 16 nodes required")
     arr = np.asarray(coeffs, dtype=complex)
     if arr.ndim != 1 or arr.size == 0 or not np.any(arr != 0):
         raise ZeroPolynomial("Mahler measure of the zero polynomial")
+    _require_finite(arr)
     arr, e = _unit_scaled(arr)
     mags = np.abs(_horner_batch(arr[None, :], _circle_nodes(nodes))[0])
     if np.any(mags == 0.0):
@@ -313,60 +325,11 @@ def mahler_quadrature(coeffs, nodes: int = 4096) -> float:
     return float(np.ldexp(np.exp(np.mean(np.log(mags))), e))
 
 
-# 1, w, w^2 for w = exp(2 pi i / 3): the three cube roots in Cardano's formula
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
-# Cardano values closer than this, relative, count as one repeated value
-_CARDANO_REPEAT = 1e-7
-
-
 def _aligned_sqrt(d: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """sqrt(d) on the branch s where Re(conj(ref) s) >= 0, elementwise, so
     that ref + s has no cancellation."""
     s = np.sqrt(d)
     return np.where((ref.conj() * s).real < 0.0, -s, s)
-
-
-def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether a and b agree to _CARDANO_REPEAT, relative, elementwise."""
-    return np.abs(a - b) <= _CARDANO_REPEAT * np.maximum(np.abs(a), np.abs(b))
-
-
-def _cardano_start(monic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of each monic row cubic (ascending coefficients) by Cardano's
-    formula, and the rows flagged as unusable.
-
-    D1 + s takes s from _aligned_sqrt.  Rows whose values are non-finite
-    or repeat one are flagged: an exact triple root gives C = 0 and 0/0
-    below, and two equal values can pass the residual gate while they
-    stand for one root twice.  Values that agree to _CARDANO_REPEAT count
-    as repeats: Cardano places the double root of (y - 3)^2 (y - 0.5i) to
-    within 5e-16, where p and p' are rounding noise, so a Newton step can
-    throw the pair 0.02 apart.  From the circle, Aberth leaves a double
-    root spread by about sqrt(eps), where its polish holds.
-    """
-    c2, c1, c0 = monic[:, 2], monic[:, 1], monic[:, 0]
-    d0 = c2 * c2 - 3.0 * c1
-    d1 = (2.0 * c2 * c2 - 9.0 * c1) * c2 + 27.0 * c0
-    h = 0.5 * (d1 + _aligned_sqrt(d1 * d1 - 4.0 * d0 * d0 * d0, d1))
-    # the principal cube root, without the complex log and exp of h ** (1/3)
-    c = np.cbrt(np.abs(h)) * np.exp(1j * np.angle(h) / 3.0)
-    cw = c[:, None] * _CUBE_ROOTS_OF_UNITY
-    y = (c2[:, None] + cw + d0[:, None] / cw) / -3.0
-    y0, y1, y2 = y.T
-    bad = ~np.all(np.isfinite(y), axis=1) | _near(y0, y1) | _near(y0, y2) | _near(y1, y2)
-    return y, bad
-
-
-def _cubic_roots(q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(B, 3) roots of each row cubic Q and the rows they are certified on:
-    Cardano's roots after one Newton step, on the rows _cardano_start does
-    not flag and the residual passes tol."""
-    monic = q / q[:, -1][:, None]
-    start, bad = _cardano_start(monic)
-    step = _horner_batch(monic, start) / _horner_batch(monic[:, 1:] * np.arange(1, 4), start)
-    step[~np.isfinite(step)] = 0.0
-    y = start - step
-    return y, ~bad & (_residual_batch(monic, y) <= tol)
 
 
 def _pair_moduli(y: np.ndarray) -> np.ndarray:
@@ -385,22 +348,16 @@ def _batch_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     """(B, d) roots of each row polynomial of degree d >= 1 (ascending
     coefficients), and the rows' converged flags: tiers 1 and 2 of the
     module docstring."""
-    batch, deg = coeffs.shape[0], coeffs.shape[1] - 1
-    ok = np.ones(batch, dtype=bool)
+    deg = coeffs.shape[1] - 1
     if deg == 1:
-        roots = -coeffs[:, :1] / coeffs[:, 1:]
-    elif deg == 2:
+        return -coeffs[:, :1] / coeffs[:, 1:], np.ones(len(coeffs), dtype=bool)
+    if deg == 2:
         a, b, c = coeffs[:, 2], coeffs[:, 1], coeffs[:, 0]
         t = -0.5 * (b + _aligned_sqrt(b * b - 4.0 * a * c, b))
         # t = 0 only for b = c = 0: a double root at 0
         roots = np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1)
-    elif deg == 3:
-        roots, ok = _cubic_roots(coeffs, tol)
-    else:
-        roots, ok = np.empty((batch, deg), dtype=complex), np.zeros(batch, dtype=bool)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        roots[rest], _, ok[rest] = aberth_batch(coeffs[rest], tol)
+        return roots, np.ones(len(coeffs), dtype=bool)
+    roots, _, ok = aberth_batch(coeffs, tol)
     return roots, ok
 
 
@@ -416,35 +373,44 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     degree-2N palindrome's above N = 8 (see Y_MAX_ORDER), come from the
     three tiers of the module docstring; the find_roots retry takes only
     rows with finite entries and v_N != 0.  v = (1e50, 1, ..., 1) at
-    4 <= N <= 10 needs its companion start.  Every row is computed on its
-    own, so a row's result does not depend on the batch it comes in.  A row
-    that fails the root solve or gives a non-finite measure, as one with
-    v_N = 0 does, reports inf and converged False.  N >= 1: mu_rec takes
-    N = 0.
+    4 <= N <= 10 and (1e150, 1, 1, 1) need its companion start, and
+    s (1, ..., 1) with s near either end of the double range needs its
+    scaling.  Every row is computed on its own, so a row's result does not
+    depend on the batch it comes in.  A row that fails the root solve or
+    gives a non-finite measure, as one with v_N = 0 does, reports inf and
+    converged False.  N >= 1: mu_rec takes N = 0.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[1] - 1
+    if n > Y_MAX_ORDER:
+        embed, moduli_of = lambda_embed, lambda x: np.maximum(1.0, np.abs(x))
+    else:
+        basis = pair_basis(n)
+        embed, moduli_of = (lambda rows: rows @ basis), _pair_moduli
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n > Y_MAX_ORDER:
-            coeffs, moduli_of = lambda_embed(v), lambda x: np.maximum(1.0, np.abs(x))
-        else:
-            coeffs, moduli_of = v @ pair_basis(n), _pair_moduli
+        coeffs = embed(v)
         roots, ok = _batch_roots(coeffs, tol)
-        moduli = moduli_of(roots)
-        # tier 3: the circle start can miss where the companion start converges
-        for row in np.flatnonzero(~ok):
-            if not (np.all(np.isfinite(v[row])) and v[row, -1] != 0):
-                continue
-            try:
-                moduli[row] = moduli_of(find_roots(coeffs[row], tol).roots)
-            except NoConvergence:
-                continue
-            ok[row] = True
         # np.prod's order, column by column: its reduction along a short
         # axis costs about 20 ns a row
         prod = np.ones(len(v))
-        for col in moduli.T:
+        for col in moduli_of(roots).T:
             prod *= col
+        # tier 3: the circle start can miss where the companion start
+        # converges, and a row near either end of the double range can
+        # overflow on the way to a measure that is finite
+        for row in np.flatnonzero(~(ok & np.isfinite(prod))):
+            if not (np.all(np.isfinite(v[row])) and v[row, -1] != 0):
+                continue
+            # the roots do not change with the scale; a row in range keeps
+            # the batch's coefficients, which a one-row product need not
+            # match bit for bit
+            scaled, e = _unit_scaled(v[row])
+            row_coeffs = embed(scaled[None, :])[0] if e else coeffs[row]
+            try:
+                prod[row] = math.prod(moduli_of(find_roots(row_coeffs, tol).roots))
+            except NoConvergence:
+                continue
+            ok[row] = True
         meas = np.abs(v[:, -1]) * prod
     ok &= np.isfinite(meas)
     return np.where(ok, meas, np.inf), ok

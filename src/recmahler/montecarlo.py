@@ -10,9 +10,7 @@ distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
 Each sampled vector v = (v_0, ..., v_N) that the screen below keeps goes
 to measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
-roots for N <= 3, at N = 3 behind a residual gate, and a degree-N Aberth
-solve for every row the closed form does not certify, which at N >= 4 is
-every row.
+roots for N <= 2, and a degree-N Aberth solve for every row from N = 3.
 
 The screen.  The kernel's Q(y) = sum q_k y^k has q = v @ pair_basis(N),
 and q_k = v_N e_{N-k}(beta) for the pair sums beta_n = alpha_n + 1/alpha_n.

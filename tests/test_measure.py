@@ -62,6 +62,10 @@ def test_find_roots_input_errors():
     assert constant.roots.size == 0 and constant.residual == 0.0
     with pytest.raises(DegenerateLeadingCoefficient):
         find_roots([1.0, 2.0, 0.0])
+    with pytest.raises(ValueError, match="^coefficient c_1 = "):
+        find_roots([1.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="^coefficient c_0 = "):
+        find_roots([complex(1.0, np.inf), np.nan, 1.0])
 
 
 def test_find_roots_residual_bound_random():
@@ -214,6 +218,8 @@ def test_mahler_from_roots_frozen():
     assert mahler_from_roots([7.0]) == pytest.approx(7.0)
     with pytest.raises(ZeroPolynomial):
         mahler_from_roots([0.0])
+    with pytest.raises(ValueError, match="^coefficient c_2 = "):
+        mahler_from_roots([1.0, 2.0, np.inf])
 
 
 def test_mahler_quadrature_frozen():
@@ -221,6 +227,8 @@ def test_mahler_quadrature_frozen():
     assert mahler_quadrature([0.0, 0.0, 3.0]) == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(ValueError):
         mahler_quadrature([1.0, 2.0], nodes=8)
+    with pytest.raises(ValueError, match="^coefficient c_1 = "):
+        mahler_quadrature([1.0, np.nan, 1.0])
 
 
 def test_mahler_quadrature_node_on_zero():
@@ -283,6 +291,24 @@ def test_mu_rec_homogeneous():
         v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         k = rng.normal() + 1j * rng.normal()
         assert mu_rec(k * v) == pytest.approx(abs(k) * mu_rec(v), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e306, 1e308, 1e-300, 1e-310, 1e-320])
+def test_mu_rec_homogeneous_near_the_ends_of_the_double_range(scale):
+    """Q's coefficients, the closed forms' intermediates or the degree-1
+    division overflow at these scales, so the kernel retries the row scaled
+    into range."""
+    for n_order in range(1, 11):
+        ones = np.ones(n_order + 1)
+        assert mu_rec(scale * ones) == pytest.approx(scale * mu_rec(ones), rel=1e-15)
+
+
+def test_retry_passes_find_roots_finite_coefficients():
+    """Q's coefficients of this row overflow, and find_roots rejects
+    coefficients that are not finite: the retry solves the scaled row."""
+    meas, ok = mu_rec_batch(1e308 * np.ones((1, 4)))
+    assert bool(ok[0])
+    assert meas[0] == pytest.approx(1e308, rel=1e-15)
 
 
 def test_mu_rec_bounded_by_coefficient_norm():
@@ -389,22 +415,8 @@ def test_mu_rec_batch_reports_unsolvable_rows(n_order):
     assert meas[3] == pytest.approx(mu_rec(v[3]), rel=1e-15)
 
 
-# ---------------------------------------------------------------------------
-# the N = 3 kernel starts Aberth from Cardano's roots
-
-
-def certify_no_row(q, tol):
-    return np.empty((len(q), 3), dtype=complex), np.zeros(len(q), dtype=bool)
-
-
-def circle_started(monkeypatch):
-    """mu_rec_batch with every cubic row sent to aberth_batch, which starts
-    it on the Cauchy circle."""
-    monkeypatch.setattr(measure, "_cubic_roots", certify_no_row)
-
-
-CARDANO_EDGE_ROWS = [
-    from_y_roots(1.0, [0.5, 0.5, 0.5])[0],  # exact triple roots: C = 0
+ORDER_THREE_EDGE_ROWS = [
+    from_y_roots(1.0, [0.5, 0.5, 0.5])[0],  # exact triple roots
     from_y_roots(1.0, [3.0, 3.0, 3.0])[0],
     from_y_roots(2.0, [1.0 + 1j] * 3)[0],
     from_y_roots(1.0, [3.0, 3.0, 0.5j])[0],  # repeated pairs
@@ -421,53 +433,23 @@ CARDANO_EDGE_ROWS = [
 ]
 
 
-def test_cardano_start_keeps_the_circle_start_results_on_edge_rows(monkeypatch):
-    v = np.array(CARDANO_EDGE_ROWS)
-    meas, ok = mu_rec_batch(v)
-    circle_started(monkeypatch)
-    ref, ref_ok = mu_rec_batch(v)
-    assert list(ok) == list(ref_ok)
-    assert list(ok[6:9]) == [False] * 3 and list(ok[9:11]) == [True] * 2
-    # a repeated root is good to about sqrt(eps) from either start
-    rtol = np.where(np.arange(len(v)) < 6, 1e-7, 1e-12)
-    assert np.all(np.abs(meas[ok] - ref[ok]) <= rtol[ok] * ref[ok])
-    assert np.array_equal(meas[~ok], ref[~ok])
-
-
-def sampled_cubics(count):
-    """count N = 3 rows as the h_3(1.5) Monte Carlo draws them."""
-    gen = montecarlo._chunk_generator(3, 0)
-    v = montecarlo._sample_disks(gen, count, montecarlo.bounding_radii(3, 1.5))
-    return np.concatenate([v, np.ones((count, 1))], axis=1)
-
-
-def test_cardano_start_agrees_with_the_circle_start_on_sampled_rows(monkeypatch):
-    v = sampled_cubics(1 << 12)
-    meas, ok = mu_rec_batch(v, 1e-9)
-    circle_started(monkeypatch)
-    ref, ref_ok = mu_rec_batch(v, 1e-9)
-    assert bool(np.all(ok)) and bool(np.all(ref_ok))
-    assert np.all(np.abs(meas - ref) <= 1e-12 * ref)
-
-
-def test_cardano_start_needs_one_aberth_sweep(monkeypatch):
-    """Each Aberth sweep evaluates p and p' once; the Newton polish takes 6
-    evaluations and the residual 2, so one sweep makes 10."""
-    v = sampled_cubics(1 << 12)
-    calls = []
-    horner = measure._horner_batch
-
-    def counted(*args):
-        calls.append(1)
-        return horner(*args)
-
-    monkeypatch.setattr(measure, "_horner_batch", counted)
-    mu_rec_batch(v, 1e-9)
-    assert len(calls) <= 2 * 1 + 6 + 2
-    calls.clear()
-    circle_started(monkeypatch)
-    mu_rec_batch(v, 1e-9)
-    assert len(calls) > 2 * 3 + 6 + 2  # the circle start needs more
+def test_order_three_edge_rows():
+    """Rows with v_N = 0 or a NaN entry have no measure, and the rows scaled
+    by 1e+-150 keep theirs.  [1, 1, 1, 1e-150] has a root y near -1e150,
+    where the residual's scale sum overflows, so no tier certifies it.
+    Every row of simple roots keeps the closed form to 1e-12."""
+    meas, ok = mu_rec_batch(np.array(ORDER_THREE_EDGE_ROWS))
+    assert list(ok) == [True] * 6 + [False] * 3 + [True] * 2 + [False] + [True] * 2
+    assert list(meas[~ok]) == [np.inf] * 4
+    simple = [
+        (9, 1e150, 1.0, [2.5, -3.0, 1j]),
+        (10, 1e-150, 1.0, [2.5, -3.0, 1j]),
+        (12, 1.0, 1.5j, [2.0, -1.9, 0.3]),
+        (13, 1.0, 1.0, [1.3, -1.3, 0.2]),
+    ]
+    for row, scale, lead, ys in simple:
+        expect = scale * from_y_roots(lead, ys)[1]
+        assert abs(meas[row] - expect) <= 1e-12 * expect
 
 
 @pytest.mark.parametrize(
@@ -501,8 +483,8 @@ def test_mu_rec_batch_splits_off_exact_zero_roots_of_q(lead, ys):
 )
 def test_each_multiple_zero_root_row_calls_find_roots_once(monkeypatch, ys):
     """Near a multiple root at 0 the scale-free residual stays at 1, so
-    neither the closed-form cubic nor Aberth certifies the row, and each
-    such row reaches the one-row retry, which splits off the zero roots."""
+    Aberth does not certify the row, and each such row reaches the one-row
+    retry, which splits off the zero roots."""
     v, expect = from_y_roots(1.0, ys)
     calls = []
     solve = measure.find_roots
@@ -537,89 +519,6 @@ def test_zero_root_beside_a_repeated_root_keeps_1e_8(ys):
 
 def test_nu_rec_of_a_power_of_x_squared_plus_one():
     assert nu_rec(np.array([0.0, 3.0, 0.0])) == pytest.approx(1.0, rel=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# the N = 3 kernel keeps Cardano's roots where they pass the residual gate
-
-
-def aberth_from_cardano(q, tol):
-    """The reference cubic solve: Aberth from _cardano_start on every row,
-    and from the circle start on the rows it flags."""
-    monic = q / q[:, -1][:, None]
-    start, bad = measure._cardano_start(monic)
-    start[bad] = measure._circle_start(monic[bad])
-    y, _, ok = aberth_batch(q, tol, start)
-    return y, ok
-
-
-def test_closed_form_cubic_agrees_with_aberth_from_cardano(monkeypatch):
-    v = sampled_cubics(1 << 16)
-    meas, ok = mu_rec_batch(v, 1e-9)
-    monkeypatch.setattr(measure, "_cubic_roots", aberth_from_cardano)
-    ref, ref_ok = mu_rec_batch(v, 1e-9)
-    assert bool(np.all(ok)) and bool(np.all(ref_ok))
-    assert np.max(np.abs(meas - ref) / ref) <= 4e-15
-
-
-def test_clean_cubic_batch_runs_one_newton_step_and_the_gate(monkeypatch):
-    """p and p' for the Newton step, two evaluations for the residual, and
-    no Aberth sweep."""
-    v = sampled_cubics(1 << 12)
-    calls = []
-    horner = measure._horner_batch
-
-    def counted(*args):
-        calls.append(1)
-        return horner(*args)
-
-    def no_sweep(*args):
-        raise AssertionError("aberth_batch ran on a clean batch")
-
-    monkeypatch.setattr(measure, "_horner_batch", counted)
-    monkeypatch.setattr(measure, "aberth_batch", no_sweep)
-    meas, ok = mu_rec_batch(v, 1e-9)
-    assert bool(np.all(ok))
-    assert len(calls) <= 4
-
-
-def test_flagged_and_failing_cubic_rows_keep_the_aberth_bits(monkeypatch):
-    """Rows that go to Aberth start where the whole batch would have, so
-    they get the bits of the all-Aberth reference."""
-    v = np.array(CARDANO_EDGE_ROWS + list(sampled_cubics(64)))
-    solves = []
-    solve = measure.aberth_batch
-
-    def recorded(coeffs, tol=1e-10, start=None):
-        solves.append(len(coeffs))
-        return solve(coeffs, tol, start)
-
-    monkeypatch.setattr(measure, "aberth_batch", recorded)
-    meas, ok = mu_rec_batch(v)
-    assert 0 < solves[0] < len(v)
-    monkeypatch.setattr(measure, "_cubic_roots", aberth_from_cardano)
-    ref, ref_ok = mu_rec_batch(v)
-    assert list(ok) == list(ref_ok)
-    # the repeated-root rows and the non-finite rows are flagged
-    assert np.array_equal(meas[:9], ref[:9])
-    assert np.all(np.abs(meas[ok] - ref[ok]) <= 1e-12 * ref[ok])
-
-
-def test_uncertified_cubic_rows_get_the_bits_of_aberth_from_the_circle():
-    """Rows _cardano_start flags and rows the residual gate fails both go to
-    aberth_batch with its default start."""
-    zero_roots = [from_y_roots(1.0, ys)[0] for ys in ([0.0, 1.0, 2.0], [0.5, -1.5j, 0.0])]
-    q = np.array(CARDANO_EDGE_ROWS + zero_roots + list(sampled_cubics(64))) @ pair_basis(3)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, flagged = measure._cardano_start(q / q[:, -1][:, None])
-        _, certified = measure._cubic_roots(q, 1e-10)
-        roots, ok = measure._batch_roots(q, 1e-10)
-        rows = np.flatnonzero(~certified)
-        ref, _, ref_ok = aberth_batch(q[rows], 1e-10)
-    assert np.any(flagged[rows]) and not np.all(flagged[rows])
-    assert certified.sum() >= 64
-    assert roots[rows].tobytes() == ref.tobytes()
-    assert ok[rows].tobytes() == ref_ok.tobytes()
 
 
 def test_pair_moduli_match_the_aligned_square_root_bit_for_bit():
@@ -662,7 +561,8 @@ def test_palindrome_row_the_circle_start_misses_is_retried():
 
 
 @pytest.mark.parametrize(
-    "n_order, big", [(4, 1e50), (5, 1e50), (6, 1e50), (8, 1e50), (8, 1e20), (10, 1e50)]
+    "n_order, big",
+    [(3, 1e150), (4, 1e50), (5, 1e50), (6, 1e50), (8, 1e50), (8, 1e20), (10, 1e50)],
 )
 def test_huge_constant_coefficient_is_retried(n_order, big):
     """v = (big, 1, ..., 1) has measure big to 1e-14 relative; the
