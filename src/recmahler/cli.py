@@ -43,7 +43,7 @@ from .exact import (
     ratfun_eval_exact,
     ratfun_to_lists,
 )
-from .measure import Y_MAX_ORDER, find_roots, mahler_quadrature
+from .measure import find_roots, mahler_quadrature
 from .spectral import (
     h_closed,
     h_eval,
@@ -309,7 +309,7 @@ def _cmd_mc(args) -> int:
     else:
         if args.xi is not None:
             raise ValueError("--xi is only for --mode hn: --mode volume estimates {mu <= 1}")
-        est =montecarlo.mc_volume(args.N, args.samples, args.seed, args.workers)
+        est = montecarlo.mc_volume(args.N, args.samples, args.seed, args.workers)
         target = volume_exact(args.N).to_float()
         target_str = "star body volume closed form"
     z = None
@@ -375,9 +375,9 @@ class _Usage(Exception):
 # Largest order N each subcommand accepts, so that every accepted N
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
 # its default grid); volume's float value would overflow from N = 618.
-# mc stops where the measure kernel's y-route ends: from N = 9 it solves the
-# degree-2N palindrome, ten times as slow a row at N = 9 (though from N = 5
-# the Monte Carlo screen lets almost no box row reach the kernel).
+# mc stops at N = 8: the box sampler scores no hit from N = 3 (at N = 3
+# the star body fills about 3e-8 of its box), so a higher order would only
+# add runs that cannot resolve.
 # jacobian-test stops where central differences still resolve the 2N x 2N
 # determinant to its 1e-5 tolerance: every seed from 0 to 99 passes at
 # N = 7, and 6 of them fail at N = 8.
@@ -386,7 +386,7 @@ N_CAPS = {
     "volume": 500,
     "verify-det": 100,
     "rank-one": 64,
-    "mc": Y_MAX_ORDER,
+    "mc": 8,
     "table": 200,
     "jacobian-test": 7,
 }

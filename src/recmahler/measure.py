@@ -35,18 +35,18 @@ Either polynomial goes through one fallback chain, and each row takes one
 path through its three tiers:
 
 1. the exact closed form at degree 1 and 2;
-2. aberth_batch from the circle start at every higher degree, so a row's
-   bits do not depend on the rest of the batch;
+2. aberth_batch from the circle start at every higher degree;
 3. find_roots on each row still unconverged or whose measure is not
    finite, alone: its companion start converges where the circle start
    can miss, and it splits off exact zero roots (near a multiple root at
    0 the scale-free residual stays at 1, so Aberth does not certify one).
-   The retry solves the row scaled into range, so a row near either end
-   of the double range, whose pair-basis coefficients or closed-form
-   intermediates overflow, still gets its measure.
+   The retry re-forms every row it takes from the row scaled into range,
+   so a row near either end of the double range, whose coefficients or
+   closed-form intermediates overflow, still gets its measure.
 
 The Monte Carlo module pushes its samples through mu_rec_batch in blocks of
-a few thousand rows, and mu_rec / nu_rec are its batch of one.
+a few thousand rows, and mu_rec / nu_rec are its batch of one.  No step
+mixes rows, so at every N a row's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -285,12 +285,8 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
 
 
 def mahler_from_roots(coeffs, tol: float = 1e-10) -> float:
-    """Mahler measure via the product form |c_d| * prod max(1, |root|)."""
+    """Mahler measure |c_d| * prod max(1, |root|); find_roots checks coeffs."""
     arr = np.asarray(coeffs, dtype=complex)
-    if arr.ndim != 1 or arr.size == 0 or not np.any(arr != 0):
-        raise ZeroPolynomial("Mahler measure of the zero polynomial")
-    if arr[-1] == 0:
-        raise DegenerateLeadingCoefficient("leading coefficient is zero")
     return find_roots(arr, tol).mahler(arr[-1])
 
 
@@ -344,6 +340,35 @@ def _pair_moduli(y: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, 0.5 * np.maximum(np.abs(y + s), np.abs(y - s)))
 
 
+@functools.lru_cache(maxsize=None)
+def _y_terms(n_order: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Per k < N, the nonzero (m, P_mk), m > k ascending, of P = pair_basis(N)."""
+    basis = pair_basis(n_order)
+    return tuple(
+        tuple((m, float(basis[m, k])) for m in range(k + 1, n_order + 1) if basis[m, k])
+        for k in range(n_order)
+    )
+
+
+def y_coeffs(v: np.ndarray, lead: complex | None = None) -> np.ndarray:
+    """(B, N+1) ascending coefficients q = v @ pair_basis(N) of Q(y) = p_v(x),
+    y = x + 1/x, with q_N = v_N, for rows (v_0, ..., v_N), or (v_0, ...,
+    v_{N-1}) when lead is every row's v_N.  Summed a column at a time in
+    _y_terms' order, a row's q does not depend on its batch, as a BLAS
+    product's does, and a scalar lead gives its column's |q_k| bit for bit.
+    """
+    n = v.shape[1] - (lead is None)
+    top = v[:, n] if lead is None else lead
+    # column-major, so that each column is written and read contiguously
+    q = np.empty((n + 1, len(v)), dtype=complex)
+    q[n] = top
+    for k, terms in enumerate(_y_terms(n)):
+        q[k] = v[:, k]
+        for m, coeff in terms:
+            q[k] += coeff * (top if m == n else v[:, m])
+    return q.T
+
+
 def _batch_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(B, d) roots of each row polynomial of degree d >= 1 (ascending
     coefficients), and the rows' converged flags: tiers 1 and 2 of the
@@ -367,26 +392,26 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     v: (B, N+1) complex rows (v_0, ..., v_N).  Returns (measures, converged).
 
     With y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q whose
-    coefficients come from symfun.pair_basis: Q = v_N prod (y + beta_n),
-    and each root y = -beta_n carries the root pair of x^2 - y x + 1, which
+    coefficients come from y_coeffs: Q = v_N prod (y + beta_n), and each
+    root y = -beta_n carries the root pair of x^2 - y x + 1, which
     contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots, or the
     degree-2N palindrome's above N = 8 (see Y_MAX_ORDER), come from the
-    three tiers of the module docstring; the find_roots retry takes only
-    rows with finite entries and v_N != 0.  v = (1e50, 1, ..., 1) at
-    4 <= N <= 10 and (1e150, 1, 1, 1) need its companion start, and
-    s (1, ..., 1) with s near either end of the double range needs its
-    scaling.  Every row is computed on its own, so a row's result does not
-    depend on the batch it comes in.  A row that fails the root solve or
-    gives a non-finite measure, as one with v_N = 0 does, reports inf and
-    converged False.  N >= 1: mu_rec takes N = 0.
+    three tiers of the module docstring; the find_roots retry re-forms each
+    row it takes, one with finite entries and v_N != 0, from its scaled
+    copy.  v = (1e50, 1, ..., 1) at 4 <= N <= 10 and (1e150, 1, 1, 1) need
+    its companion start, and s (1, ..., 1) with s near either end of the
+    double range needs its scaling.  Every row is computed on its own, so
+    at every N a row's result does not depend on the batch it comes in.  A
+    row that fails the root solve or gives a non-finite measure, as one
+    with v_N = 0 does, reports inf and converged False.  N >= 1: mu_rec
+    takes N = 0.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[1] - 1
     if n > Y_MAX_ORDER:
         embed, moduli_of = lambda_embed, lambda x: np.maximum(1.0, np.abs(x))
     else:
-        basis = pair_basis(n)
-        embed, moduli_of = (lambda rows: rows @ basis), _pair_moduli
+        embed, moduli_of = y_coeffs, _pair_moduli
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coeffs = embed(v)
         roots, ok = _batch_roots(coeffs, tol)
@@ -401,11 +426,8 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
         for row in np.flatnonzero(~(ok & np.isfinite(prod))):
             if not (np.all(np.isfinite(v[row])) and v[row, -1] != 0):
                 continue
-            # the roots do not change with the scale; a row in range keeps
-            # the batch's coefficients, which a one-row product need not
-            # match bit for bit
-            scaled, e = _unit_scaled(v[row])
-            row_coeffs = embed(scaled[None, :])[0] if e else coeffs[row]
+            # the roots do not change with the scale
+            row_coeffs = embed(_unit_scaled(v[row])[0][None, :])[0]
             try:
                 prod[row] = math.prod(moduli_of(find_roots(row_coeffs, tol).roots))
             except NoConvergence:

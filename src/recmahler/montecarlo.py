@@ -12,7 +12,7 @@ Each sampled vector v = (v_0, ..., v_N) that the screen below keeps goes
 to measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
 roots for N <= 2, and a degree-N Aberth solve for every row from N = 3.
 
-The screen.  The kernel's Q(y) = sum q_k y^k has q = v @ pair_basis(N),
+The screen.  The kernel's Q(y) = sum q_k y^k has q = measure.y_coeffs(v),
 and q_k = v_N e_{N-k}(beta) for the pair sums beta_n = alpha_n + 1/alpha_n.
 With l = |v_N| and t_n = log max(|alpha_n|, 1/|alpha_n|) >= 0, a row has
 mu_rec = l exp(sum t_n), so mu_rec <= tau puts t in the simplex
@@ -25,18 +25,20 @@ t = (log(tau / l), 0, ..., 0):
 
 for every k < N, with equality at alpha = (tau / l, 1, ..., 1).  The box
 comes from Mahler's bound on the palindrome's coefficients; the same
-reasoning on Q leaves a region about 9 times smaller at N = 2.  A row is
-dropped when some |q_k| is above its bound by more than two margins: q's
-rounding, here and in the kernel, 4 eps (N + 2) sum_m r_m |P_mk| over the
-box's radii r; and 1e-4 of the bound, over twenty times the kernel's worst
-documented error (4.4e-6 relative, at a triple root).  So no row that the
-kernel puts at or below tau is dropped, and hits, and hence estimates, keep
-every bit.  A dropped row cannot count as a rejection either, and the
-tests check that rejections match the unscreened run too.  Rows with
-v_N = 0 or a non-finite entry always reach the kernel, which scores them
-as rejections.  Kept are about 11% of the hn box rows at N = 2 (16% in
-volume mode), 1-3% at N = 3, and from N = 5 almost none.  N = 1 is not
-screened: there the kernel costs one division a row, less than the
+reasoning on Q leaves a region about 9 times smaller at N = 2.  The bound
+holds for any polynomial, so also for the very q the kernel solves, and a
+row is dropped when some |q_k| is above its bound by more than 1e-4 of it.
+That margin covers the bound's float evaluation and a kernel that
+underestimates a row near tau.  The kernel's worst measured errors are
+overestimates, which cannot create a hit, at root clusters (ROADMAP item
+6): (y - 3)^3 reads 4.7e-4 high, 0.5 (y + 2)^2 (y - 1) 1.3e-4.  So no row
+that the kernel puts at or below tau is dropped, and hits, and hence
+estimates, keep every bit.  A dropped row cannot count as a rejection
+either, and the tests check that rejections match the unscreened run too.
+Rows with v_N = 0 or a non-finite entry always reach the kernel, which
+scores them as rejections.  Kept are about 11% of the hn box rows at N = 2
+(16% in volume mode), 1-3% at N = 3, and from N = 5 almost none.  N = 1 is
+not screened: there the kernel costs one division a row, less than the
 screen, and the samples go to it uncopied.
 
 A chunk is built, screened and measured in row blocks of _BLOCK = 4096.
@@ -67,8 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationOverflow, NoConvergence
-from .measure import mu_rec_batch
-from .symfun import pair_basis
+from .measure import mu_rec_batch, y_coeffs
 
 CHUNK = 1 << 16
 # rows per mu_rec_batch call (module docstring)
@@ -76,11 +77,9 @@ _BLOCK = 4096
 # residual target of the degree-N root solve for N >= 3
 _ROOT_TOL = 1e-9
 _REJECTION_CAP = 1e-6
-# the screen's margins (module docstring): a relative one well above the
-# root kernel's worst documented error, and q's rounding in units of
-# (N + 2) * sum_m r_m |P_mk| over the box's radii r
+# the screen's one margin, relative to the bound (module docstring): it
+# must cover the kernel underestimating a row near the threshold
 _SCREEN_REL = 1e-4
-_SCREEN_ROUNDING = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -163,49 +162,32 @@ def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):
 
 
 @functools.lru_cache(maxsize=None)
-def _screen_terms(n_order: int) -> tuple[tuple[tuple, float, float], ...]:
-    """For each k < N: the terms (m, P_mk), m > k, of q_k = v_k + sum P_mk v_m
-    with P = pair_basis(N), and the weights (A_k, B_k) of the bound
+def _screen_terms(n_order: int) -> tuple[tuple[float, float], ...]:
+    """For each k < N, the weights (A_k, B_k) of the bound
     |q_k| <= l A_k + (tau + l^2 / tau) B_k, widened by _SCREEN_REL."""
-    basis = pair_basis(n_order)
-    grow = 1.0 + _SCREEN_REL
-    out = []
-    for k in range(n_order):
-        j = n_order - k
-        terms = tuple((m, float(basis[m, k])) for m in range(k + 1, n_order + 1) if basis[m, k])
-        a = grow * math.comb(n_order - 1, j) * 2.0 ** j
-        b = grow * math.comb(n_order - 1, j - 1) * 2.0 ** (j - 1)
-        out.append((terms, a, b))
-    return tuple(out)
+    w = [(1.0 + _SCREEN_REL) * math.comb(n_order - 1, j) * 2.0 ** j for j in range(n_order + 1)]
+    return tuple((w[j], w[j - 1]) for j in range(n_order, 0, -1))
 
 
-def _may_hit(
-    block: np.ndarray, lead: complex | None, threshold: float, slack: np.ndarray
-) -> np.ndarray:
+def _may_hit(block: np.ndarray, lead: complex | None, threshold: float) -> np.ndarray:
     """Mask of the rows of block that may measure at most threshold: all
     but those with some |q_k|, k < N, above the bound on {mu_rec <=
-    threshold} by more than the margins (module docstring), slack_k being
-    q_k's rounding.  block ends with v_N when lead is None.  A row with
-    v_N = 0 or a non-finite entry is kept.
-
-    q is formed a column at a time from P's nonzero entries: a reduction
-    along a short row axis costs about 30 ns a row.
+    threshold} by more than its margin (module docstring).  block ends with
+    v_N when lead is None.  A row with v_N = 0 or a non-finite entry is
+    kept.
     """
     n = block.shape[1] - (lead is None)
     with np.errstate(invalid="ignore", over="ignore"):
-        top = block[:, n] if lead is None else lead
-        ell = np.abs(top)
+        q = y_coeffs(block, lead)
+        ell = np.abs(block[:, n] if lead is None else lead)
         far = threshold + ell * ell / threshold
         # sum of every |q_k|: finite exactly when the row is (q is
         # unitriangular in v), short of an overflow, which only keeps a row
         total = ell
         miss = np.zeros(len(block), dtype=bool)
-        for k, (terms, a, b) in enumerate(_screen_terms(n)):
-            q = block[:, k]
-            for m, coeff in terms:
-                q = q + coeff * (top if m == n else block[:, m])
-            size = np.abs(q)
-            miss |= size > ell * a + far * b + slack[k]
+        for k, (a, b) in enumerate(_screen_terms(n)):
+            size = np.abs(q[:, k])
+            miss |= size > ell * a + far * b
             total = total + size
         miss &= (ell > 0) & np.isfinite(total)
     return ~miss
@@ -235,16 +217,12 @@ def _box_estimate(
             f"Monte Carlo box volume at N = {n_order}, xi = {threshold:.15g} "
             "overflows a double"
         )
-    basis = np.abs(pair_basis(n_order))
-    full_radii = radii if lead is None else np.append(radii, abs(lead))
-    # q's rounding here and in the kernel, which sums in its own order
-    slack = _SCREEN_ROUNDING * (n_order + 2) * (full_radii @ basis)[:-1]
 
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int, int]:
         v = _sample_disks(gen, count, radii)
         if n_order > 1:
             v = np.concatenate([
-                block[_may_hit(block, lead, threshold, slack)]
+                block[_may_hit(block, lead, threshold)]
                 for block in np.split(v, range(_BLOCK, count, _BLOCK))
             ])
         hits = rejections = 0

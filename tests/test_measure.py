@@ -538,6 +538,8 @@ def test_pair_moduli_match_the_aligned_square_root_bit_for_bit():
 
 
 def test_blocked_mu_rec_batch_matches_the_whole_batch_bit_for_bit():
+    """Blocks of 97 rows, batches of one and mu_rec all give the whole
+    batch's bits, at every order."""
     rng = np.random.default_rng(5)
     for n_order in range(1, 11):
         rows = 600 if n_order <= 8 else 150
@@ -546,6 +548,25 @@ def test_blocked_mu_rec_batch_matches_the_whole_batch_bit_for_bit():
         parts = [mu_rec_batch(v[i : i + 97], 1e-9) for i in range(0, rows, 97)]
         assert np.concatenate([p[0] for p in parts]).tobytes() == meas.tobytes()
         assert np.concatenate([p[1] for p in parts]).tobytes() == ok.tobytes()
+        assert bool(np.all(ok))
+        for i in range(64):
+            assert mu_rec_batch(v[i : i + 1], 1e-9)[0].tobytes() == meas[i : i + 1].tobytes()
+            assert mu_rec(v[i], 1e-9) == meas[i]
+
+
+def test_y_coeffs_is_the_pair_basis_product():
+    """q = v @ pair_basis(N) to rounding, with q_N = v_N exactly, for a
+    column of leads and for one lead shared by every row."""
+    rng = np.random.default_rng(2)
+    for n_order in range(1, 11):
+        v = rng.normal(size=(50, n_order + 1)) + 1j * rng.normal(size=(50, n_order + 1))
+        basis = pair_basis(n_order)
+        q = measure.y_coeffs(v)
+        assert q[:, -1].tobytes() == v[:, -1].tobytes()
+        assert np.all(np.abs(q - v @ basis) <= 1e-14 * (np.abs(v) @ np.abs(basis)))
+        v[:, -1] = 0.5 - 2j
+        shared = measure.y_coeffs(v[:, :-1], 0.5 - 2j)
+        assert np.abs(shared).tobytes() == np.abs(measure.y_coeffs(v)).tobytes()
 
 
 def test_palindrome_row_the_circle_start_misses_is_retried():

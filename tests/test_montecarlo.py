@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from recmahler import montecarlo
+from recmahler import measure, montecarlo
 from recmahler.errors import EvaluationOverflow, NoConvergence
 from recmahler.measure import mu_rec_batch
 from recmahler.montecarlo import (
@@ -306,7 +306,7 @@ def test_order_three_tallies():
 # the screen on Q's coefficients
 
 
-def _keep_all(block, lead, threshold, slack):
+def _keep_all(block, lead, threshold):
     return np.ones(len(block), dtype=bool)
 
 
@@ -320,8 +320,7 @@ def _unscreened(est):
 def test_screen_keeps_every_row_at_or_below_the_threshold(mode, n_order):
     """Every row of a 2x inflated box is measured; at the nominal threshold
     and at thresholds that 1% to 50% of the rows meet, each row the kernel
-    puts at or below the threshold passes the screen, here without its
-    rounding slack."""
+    puts at or below the threshold passes the screen."""
     count = 2 * montecarlo._BLOCK
     xi = 1.2 if mode == "hn" else 1.0
     radii = 2.0 * bounding_radii(n_order, xi)
@@ -332,12 +331,11 @@ def test_screen_keeps_every_row_at_or_below_the_threshold(mode, n_order):
     full = v if lead is None else np.concatenate([v, np.ones((count, 1))], axis=1)
     meas, ok = mu_rec_batch(full, 1e-9)
     assert bool(np.all(ok))
-    slack = np.zeros(n_order)
     for threshold in [xi] + list(np.quantile(meas, [0.01, 0.1, 0.5])):
-        kept = montecarlo._may_hit(v, lead, threshold, slack)
+        kept = montecarlo._may_hit(v, lead, threshold)
         assert bool(np.all(kept[meas <= threshold]))
     # the screen is not vacuous: at the nominal threshold it drops rows
-    assert not np.all(montecarlo._may_hit(v, lead, xi, slack))
+    assert not np.all(montecarlo._may_hit(v, lead, xi))
 
 
 def _vertex_row(n_order, lead, threshold, sign, stretch=1.0):
@@ -356,8 +354,7 @@ def test_screen_keeps_the_vertex_rows(n_order):
     """At the vertex rows every |q_k| meets its bound, so these rows sit on
     the screen's edge: they are kept, while the same rows with the large
     root pair moved 10% out are dropped."""
-    a_b = [(a, b) for _, a, b in montecarlo._screen_terms(n_order)]
-    slack = np.zeros(n_order)
+    a_b = montecarlo._screen_terms(n_order)
     for lead, threshold in [(1.0, 1.0), (1.0, 1.5), (0.5, 1.0), (1e-3, 1.0), (-2.0j, 40.0)]:
         ell = abs(lead)
         for sign in (1.0, -1.0):
@@ -367,11 +364,30 @@ def test_screen_keeps_the_vertex_rows(n_order):
             bound = [(ell * a + far * b) / (1.0 + montecarlo._SCREEN_REL) for a, b in a_b]
             assert np.allclose(q[:-1], bound, rtol=1e-12, atol=0.0)
             rows = v[None, :]
-            assert montecarlo._may_hit(rows, None, threshold, slack).tolist() == [True]
-            assert montecarlo._may_hit(rows[:, :-1], lead, threshold, slack).tolist() == [True]
+            assert montecarlo._may_hit(rows, None, threshold).tolist() == [True]
+            assert montecarlo._may_hit(rows[:, :-1], lead, threshold).tolist() == [True]
             if threshold / ell >= 1.5:
                 out = _vertex_row(n_order, lead, threshold, sign, stretch=1.1)[None, :]
-                assert montecarlo._may_hit(out, None, threshold, slack).tolist() == [False]
+                assert montecarlo._may_hit(out, None, threshold).tolist() == [False]
+
+
+@pytest.mark.parametrize("n_order", range(2, 9))
+def test_hn_screen_bounds_the_coefficients_the_kernel_solves(monkeypatch, n_order):
+    """The hn screen forms q with the scalar lead 1, the kernel from rows
+    that end in a column of ones, and every |q_k| agrees bit for bit: the
+    screen's bound needs no margin for q's rounding."""
+    v = _sample_disks(_chunk_generator(3, 0), 500, bounding_radii(n_order, 1.5))
+    solved = []
+    batch_roots = measure._batch_roots
+
+    def recording(coeffs, tol):
+        solved.append(coeffs)
+        return batch_roots(coeffs, tol)
+
+    monkeypatch.setattr(measure, "_batch_roots", recording)
+    mu_rec_batch(np.concatenate([v, np.ones((len(v), 1))], axis=1), 1e-9)
+    screened = np.abs(measure.y_coeffs(v, 1.0))
+    assert screened[:, :-1].tobytes() == np.abs(solved[0])[:, :-1].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["hn", "volume"])
