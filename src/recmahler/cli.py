@@ -374,7 +374,7 @@ class _Usage(Exception):
 
 # Largest order N each subcommand accepts, so that every accepted N
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
-# its default grid); volume's float value would overflow from N = 618.
+# its default grid, 0.5 s at N = 200); volume's value overflows from N = 618.
 # mc stops at N = 8: the box sampler scores no hit from N = 3 (at N = 3
 # the star body fills about 3e-8 of its box), so a higher order would only
 # add runs that cannot resolve.
@@ -393,7 +393,7 @@ N_CAPS = {
 
 # Largest J and K `verify-entries` accepts: the r = 5 value of the (J, K)
 # entry overflows a double from J = K = 216, and J = K = 215 takes about
-# 0.05 s on 2 cores.
+# 0.01 s on 2 cores.
 ENTRY_INDEX_CAP = 215
 
 # Largest --nodes `measure` accepts: 2^22 nodes take 0.34-0.40 s and 193 MB

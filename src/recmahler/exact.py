@@ -7,7 +7,7 @@ pi is never evaluated here; it rides along as an integer grade on otherwise
 rational data.  Sums therefore only make sense between values of the same
 grade (or with an exact zero), and mismatches raise GradeMismatch rather
 than silently coercing.  Numeric values enter only through the explicit
-evaluation helpers, which use math.pi.
+evaluation helpers: LaurentPi.eval with pi to 128 bits, the others math.pi.
 
 The Mellin convention used throughout maps a Laurent monomial with even
 exponent e to the simple fraction (1/2) / (s - e/2):
@@ -40,6 +40,9 @@ from .errors import (
 )
 
 Rational = Fraction
+
+# pi * 2^126 rounded to an integer: a rational pi within 2^-126 of pi
+_PI_128 = Fraction(0xC90FDAA22168C234C4C6628B80DC1CD1, 1 << 126)
 
 
 def _as_fraction(x) -> Fraction:
@@ -600,31 +603,39 @@ class LaurentPi:
 
     __rmul__ = __mul__
 
+    @functools.cached_property
+    def _integer_form(self) -> tuple[int, int, tuple[int, ...], int]:
+        """(low, top, ints, common), built once: the polynomial is the sum of
+        ints[i] xi^(top - 2i) / common, zeros filling the exponent gaps."""
+        low, top = min(self.coeffs, default=0), max(self.coeffs, default=0)
+        common = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        coeffs = (self.coeffs.get(e, 0) for e in range(top, low - 1, -2))
+        ints = tuple(c.numerator * (common // c.denominator) for c in coeffs)
+        return low, top, ints, common
+
     def value_at_one(self) -> PiScaled:
         """Exact value at xi = 1: the plain sum of the coefficients."""
-        total = Fraction(0)
-        for c in self.coeffs.values():
-            total += c
-        return PiScaled(total, self.pi_power if total != 0 else 0)
-
-    @functools.cached_property
-    def _float_at_one(self) -> float:
-        """value_at_one's rational part as a float, summed once per object."""
-        return float(self.value_at_one().coeff)
+        _, _, ints, common = self._integer_form
+        return PiScaled(Fraction(sum(ints), common), self.pi_power)
 
     def eval(self, x: float) -> float:
-        """Numeric value at x > 0.
-
-        Evaluated as value_at_one + sum c_e (x^e - 1): the constant part is
-        exact, every remaining term vanishes identically at x = 1, so the
-        cancellation that makes the plain sum noisy near x = 1 never happens.
-        """
+        """Value at a real x != 0, correctly rounded.  x = p / 2^s is exact, so
+        with pi as _PI_128 = pi_num / 2^126 the value is a ratio of integers
+        (Horner in x^2, powers of 2 as shifts); int / int true division rounds
+        it once: 0.0 below the double range, OverflowError above it."""
         if x == 0:
             raise ZeroArgument("Laurent evaluation at 0")
-        acc = self._float_at_one
-        for e, c in self.coeffs.items():
-            acc += float(c) * (x ** e - 1.0)
-        return acc * math.pi ** self.pi_power
+        low, top, ints, common = self._integer_form
+        p, q = float(x).as_integer_ratio()
+        s, p2, acc = q.bit_length() - 1, p * p, 0  # q = 2^s
+        for k, c in enumerate(ints):
+            acc = acc * p2 + (c << 2 * s * k)
+        # acc / 2^(s (top - low)) sums x^(e - low); x^low and pi^grade remain
+        g = self.pi_power
+        num = acc * p ** max(low, 0) * _PI_128.numerator ** max(g, 0)
+        den = common * p ** max(-low, 0) * _PI_128.numerator ** max(-g, 0)
+        shift = s * top + 126 * g
+        return num / (den << shift) if shift >= 0 else (num << -shift) / den
 
     def __str__(self) -> str:
         if self.is_zero:

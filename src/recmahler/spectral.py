@@ -75,6 +75,7 @@ from .errors import (
     NonConstantMultiplier,
 )
 from .exact import (
+    _PI_128,  # noqa: F401  (kept importable as spectral._PI_128)
     LaurentPi,
     PiScaled,
     RatFunPi,
@@ -220,18 +221,14 @@ def _odd_binomial_terms(d: int) -> dict[int, int]:
     return {d - 2 * i: hi - lo for i, (hi, lo) in enumerate(zip(row + [0], [0] + row))}
 
 
-# pi * 2^126 rounded to an integer: a rational pi within 2^-126 of pi
-_PI_128 = Fraction(0xC90FDAA22168C234C4C6628B80DC1CD1, 1 << 126)
-
-
 def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
     """Same moment as the trapezoid sum over `nodes` points of the circle.
 
     The integrand (rz - 1/(rz))(r/z - z/r)(rz + 1/(rz))^{J-1}(r/z + z/r)^{K-1}
     is a Laurent polynomial in z of degree J + K, so on more than 2(J + K)
-    nodes the sum is its constant term: built here by binomial convolution,
-    without coeff_c, evaluated exactly at the dyadic Fraction(r) with pi to
-    128 bits, and rounded once.  Off-parity pairs give exactly 0.0.
+    nodes the sum is its constant term, 2 pi sum_e a_e b_e r^(2e) with a, b
+    the binomial z^e coefficients of the halves (no coeff_c), rounded once by
+    LaurentPi.eval as hJK_closed is.  Off-parity pairs give exactly 0.0.
     """
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
@@ -240,11 +237,7 @@ def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
     if not 0 < r < math.inf:
         raise ValueError("radius must be positive and finite")
     a, b = _odd_binomial_terms(j), _odd_binomial_terms(k)
-    x = Fraction(r) ** 2
-    p, q, m = x.numerator, x.denominator, min(j, k)
-    # (rz)^e (r/z)^e = (p/q)^e, an integer times (pq)^-m: one gcd in all
-    total = sum(c * b[e] * p ** (m + e) * q ** (m - e) for e, c in a.items() if e in b)
-    return float(2 * _PI_128 * Fraction(total, (p * q) ** m))
+    return LaurentPi(1, {2 * e: 2 * c * b[e] for e, c in a.items() if e in b}).eval(r)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +448,8 @@ def h_closed(n_order: int) -> LaurentPi:
 def h_eval(n_order: int, xi: float) -> float:
     """Numeric distribution value; 0 below the support edge xi = 1.
 
-    Uses the anchored Laurent evaluation, so h_eval(N, 1.0) is exactly 0.0
-    and the grid monotonicity checks are not fighting cancellation noise.
+    LaurentPi.eval rounds the exact value once, so h_eval(N, 1.0) is exactly
+    0.0, no value is negative, and values on a grid never decrease.
     """
     return h_values(n_order, [xi])[0]
 
@@ -464,19 +457,15 @@ def h_eval(n_order: int, xi: float) -> float:
 def h_values(n_order: int, xis) -> list[float]:
     """h_eval at each xi in turn, building h_closed(N) once.
 
-    Raises ValueError for a non-finite xi, and EvaluationOverflow when a
-    value, or a term of its sum, overflows a double.
+    Raises ValueError on a non-finite xi, EvaluationOverflow past a double.
     """
     h = h_closed(n_order)
     out = []
     for xi in xis:
         if not math.isfinite(xi):
             raise ValueError(f"xi must be finite, got {xi}")
-        if xi < 1.0:
-            out.append(0.0)
-            continue
         try:
-            out.append(h.eval(float(xi)))
+            out.append(h.eval(float(xi)) if xi >= 1.0 else 0.0)
         except OverflowError:
             raise EvaluationOverflow(
                 f"h_N(xi) at N = {n_order}, xi = {xi:.15g} overflows a double"

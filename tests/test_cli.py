@@ -351,7 +351,7 @@ def test_table_rejects_empty_or_endless_grids(capsys, bounds, message):
 # sha256 of the stdout of reports whose bytes are pinned: the exact layer
 # may change how it builds a value, never what the report prints
 GOLDEN = {
-    ("hn", "--N", "12", "--xi", "1.5"): "1283f35d052ea46caca6e5896d2da93594790a6132488017eade39c5362e7a06",
+    ("hn", "--N", "12", "--xi", "1.5"): "5ed42dcdfb14ba96680b1690dedc8ee22ad7006aac72e9cebf93f344c6f4301b",
     ("volume", "--N", "12"): "9fd1ed785637efbe003b3f29c4576e2fd49d229d6a3f57fb18a5bf6eb94227f8",
     ("verify-det", "--N", "6"): "ca14c01c7bf537116e715f5d66cb4eeca3a0f63e0430fc9eee1598171730dc6f",
     ("verify-det", "--N", "12"): "a3bef7ef7cc1a6e509f4dedd3023d9694535c93c3a6d21952d8d4dad676f7eec",
@@ -359,11 +359,11 @@ GOLDEN = {
     ("rank-one", "--N", "8"): "329baaee724d076cd646fab6d680c77ea7539dc0e866c71bf71b9e52a7ec6a32",
     ("rank-one", "--N", "20"): "c3ba716112cac267d7a88eb76e3b9084f79c4525636df7b32dee3c2d3cd94ebf",
     ("rank-one", "--N", "64"): "d6036268aca884dc671778f96be41d04cd58cb5c89899b9d5d47fe2692c96777",
-    ("verify-entries", "--J", "3", "--K", "5"): "2034f19200bf89af333c93eacd82db6e3afaafa822d9079fa7046a9887cd8084",
-    ("table", "--N", "8"): "acbee2b846b8bdcf5cbf0bf6323ae17b4bd50967dd6bb692678425f15a64efd3",
+    ("verify-entries", "--J", "3", "--K", "5"): "84001ff5dcde81e979637a75b83ae1d52a60512074125300946f283012558499",
+    ("table", "--N", "8"): "2f6a142dce81ec1ec9054d755ace81d6b8953b637eadd09afce40cdd64c4e0ac",
     ("jacobian-test", "--N", "3", "--points", "5", "--seed", "7"): "0f617633893970267ca1327a894f449272ccdeb453882afdebc1dfb830c18a3b",
     ("mc", "--mode", "volume", "--N", "2", "--samples", "70000", "--seed", "3", "--workers", "2"): "1a11071ecf94b01fa09be3ab013026ff81f0a3f8d4ad34df40988a4c6462c462",
-    ("mc", "--mode", "hn", "--N", "2", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "fafcc30960011a494e19ed0059e255c6b3ea44f4eadad0a7116834e8dd4a61da",
+    ("mc", "--mode", "hn", "--N", "2", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "3f0faa62f47a028e88785bbe93abac65829ed2d48432be500f84e1030fd44de4",
     ("measure", "--coeffs", "[1,-2,3.5,0.25,2]"): "99b1a855a3184b63ca78661ccd5574a616fa051ff54be076c2258fb0c8a0fad6",
     ("measure", "--coeffs", "[[1,0.5],[0,-1],[2,0],[0.5,0.5],[-1,0],[3,1],[0.25,0],[1,-1],[0,2],[-0.5,0],[1.5,0],[0,0.75],[2,-1]]"): "037831f7eeaea709022bf0cb8b8e96941e36e162d2f0e029c0f28446788779e2",
 }
@@ -407,8 +407,8 @@ ERROR_DIGESTS = {
     ("mc", "--mode", "hn", "--N", "1"): (2, "febdeffa2c44eacb850c57fc3e7d2b751c6662f8670958464df07e8626ca62b9"),
     ("mc", "--mode", "volume", "--N", "2", "--xi", "1.5"): (2, "af0e715437d475552fb9f9c98b7ed0da8aa0ea395e27682c809ecf53f41270d6"),
     ("frobnicate",): (2, "8b29fc449b921f6e62a83c71a811401eafa68cdf075a03085b40648ebca5e6a7"),
-    ("hn", "--N", "200", "--xi", "10"): (3, "89b6809556154ee70ec5aa39282d7d4a84b1c6e172352c13522a9a0790af6ac5"),
-    ("table", "--N", "200", "--start", "6", "--stop", "6.01"): (3, "092f38004208e85dd34ab3ecf374bb0a4408b331455bf2ae72c56792f231e126"),
+    ("hn", "--N", "200", "--xi", "30"): (3, "c30177026a95502bfe60b33db72354cf9f4fc8ac3745930b984029a1afd00b9f"),
+    ("table", "--N", "200", "--start", "25", "--stop", "25.01"): (3, "5ee58f0cc94f5d8306ea4dd2e1e0ea8cd9412fc045cfdebcfade0b77cd8453a9"),
     ("measure", "--coeffs", "[1e10, 1, 1e-300]"): (3, "2b331ba9a0ad88fad5c187826d25a88d5b08492bc98fafb74a80b21a34da8f97"),
     ("measure", "--coeffs", NODE_ON_ZERO, "--nodes", "16"): (3, "581af9159c82cc624198efbb4a237188d856f197e0b54a4bc9193f801cf46b3e"),
 }
@@ -583,10 +583,11 @@ def test_no_convergence_exits_three(capsys, monkeypatch):
     "argv, point",
     [
         (["hn", "--N", "200", "--xi", "100"], "N = 200, xi = 100"),
-        # the true value, 2.48e150, is a finite double, but xi^400 is not
-        (["hn", "--N", "200", "--xi", "10"], "N = 200, xi = 10"),
-        # xi^400 overflows from xi = 5.9, so the first grid point fails
-        (["table", "--N", "200", "--start", "6", "--stop", "6.01"], "N = 200, xi = 6"),
+        # the true value is about 1e341
+        (["hn", "--N", "200", "--xi", "30"], "N = 200, xi = 30"),
+        # h_200 leaves the double range between xi = 24.7 and 24.8, so the
+        # first grid point fails
+        (["table", "--N", "200", "--start", "25", "--stop", "25.01"], "N = 200, xi = 25"),
     ],
 )
 def test_overflowing_h_value_exits_three(capsys, argv, point):
@@ -594,6 +595,31 @@ def test_overflowing_h_value_exits_three(capsys, argv, point):
     assert code == 3
     assert out == ""
     assert err == f"error: h_N(xi) at {point} overflows a double\n"
+
+
+def test_h_values_that_fit_a_double_are_printed(capsys, h_oracle):
+    """xi^400 overflows a double from xi = 5.9, but h_200 stays finite up to
+    xi = 24.7: these inputs exited 3 while their values fit in a double."""
+    code, rep, _ = invoke_json(capsys, ["hn", "--N", "200", "--xi", "10"])
+    assert code == 0
+    assert rep["numeric_results"]["h_value"] == float(f"{h_oracle(200, 10.0):.15g}")
+    assert 2.48e150 < h_oracle(200, 10.0) < 2.49e150
+    code, out, _ = invoke(capsys, ["table", "--N", "200", "--start", "6", "--stop", "6.01"])
+    assert code == 0
+    assert out == f"xi,h_N\n6,{h_oracle(200, 6.0):.15g}\n6.01,{h_oracle(200, 6.01):.15g}\n"
+    assert 3.14e60 < h_oracle(200, 6.0) < 3.15e60
+
+
+def test_table_at_the_top_order_is_nonnegative_and_nondecreasing(capsys):
+    """h_200 vanishes to order 200 at xi = 1 and increases: on the default
+    grid the float sum this replaced printed 199 negative values of 201."""
+    code, out, _ = invoke(capsys, ["table", "--N", "200"])
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert len(values) == 201
+    assert all(v >= 0.0 for v in values)
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert values[0] == 0.0 and values[-1] > 0.0
 
 
 def test_reports_are_byte_identical(capsys):

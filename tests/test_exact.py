@@ -23,6 +23,7 @@ from recmahler.errors import (
     ZeroArgument,
 )
 from recmahler.exact import (
+    _PI_128,
     LaurentPi,
     PiScaled,
     PolyQ,
@@ -404,6 +405,32 @@ def test_laurent_value_at_one_and_eval_anchor():
     assert g.eval(2.0) == pytest.approx(math.pi * (4 - 0.25), rel=1e-15)
     with pytest.raises(ZeroArgument):
         g.eval(0.0)
+
+
+def test_laurent_eval_is_the_exact_value_rounded_once():
+    """eval rounds the exact value, with pi as the 128-bit _PI_128, once:
+    at grade 0, at a negative grade, at a negative x (the exponents are
+    even), on the zero polynomial, and in the subnormal range."""
+    g = LaurentPi(0, {2: F(1, 3), -4: F(-2, 7)})
+    assert g.eval(1.5) == float(F(1, 3) * F(3, 2) ** 2 - F(2, 7) * F(2, 3) ** 4)
+    assert g.eval(-1.5) == g.eval(1.5)
+    assert g.eval(0.1) == float(F(1, 3) * F(0.1) ** 2 - F(2, 7) * F(0.1) ** -4)
+    inv = LaurentPi(-2, {2: F(5)})
+    assert inv.eval(3.0) == float(45 / _PI_128 ** 2)
+    assert inv.eval(3.0) == pytest.approx(45 / math.pi ** 2, rel=1e-15)
+    assert LaurentPi(3, {0: F(1)}).eval(7.0) == float(_PI_128 ** 3)
+    assert LaurentPi.zero().eval(2.0) == 0.0
+    assert LaurentPi.zero().eval(-2.0) == 0.0
+    # 2^-1074 is the smallest subnormal; 2^-1076 rounds to +0.0
+    assert LaurentPi(0, {-1074: F(1)}).eval(2.0) == 5e-324
+    tiny = LaurentPi(0, {-1076: F(1)}).eval(2.0)
+    assert tiny == 0.0 and math.copysign(1.0, tiny) == 1.0
+    with pytest.raises(OverflowError):
+        LaurentPi(0, {1024: F(1)}).eval(2.0)
+    assert LaurentPi(0, {1024: F(1, 2)}).eval(2.0) == 2.0 ** 1023
+    for h in (g, inv, LaurentPi.zero()):
+        with pytest.raises(ZeroArgument):
+            h.eval(0.0)
 
 
 def test_laurent_addition_grade_mismatch():

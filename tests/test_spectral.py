@@ -7,6 +7,7 @@ as 0.0 instead of hiding behind a loose tolerance.  The extended-precision
 trapezoid sum it reproduces bit for bit is kept here as its reference.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -436,27 +437,72 @@ def test_h_values_match_h_eval_and_build_the_closed_form_once(monkeypatch):
     assert calls == [3]
 
 
-def test_h_values_sum_the_coefficients_once(monkeypatch):
-    """LaurentPi.eval's exact anchor, the coefficient sum, is taken once per
-    h_closed(N), not once per grid point."""
+def test_h_values_build_the_integer_form_once(monkeypatch):
+    """LaurentPi.eval's integer form, the coefficients over one common
+    denominator, is built once per h_closed(N), not once per grid point."""
     grid = [1.0, 1.25, 1.5, 3.0]
     expect = [h_eval(4, xi) for xi in grid]
     calls = []
-    anchor = LaurentPi.value_at_one
+    build = LaurentPi._integer_form.func
 
     def counted(self):
         calls.append(1)
-        return anchor(self)
+        return build(self)
 
-    monkeypatch.setattr(LaurentPi, "value_at_one", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(LaurentPi, "_integer_form")
+    monkeypatch.setattr(LaurentPi, "_integer_form", prop)
     assert h_values(4, grid) == expect
     assert len(calls) == 1
 
 
 def test_h_eval_overflow_is_typed():
-    """xi^200 overflows a double at xi = 100 before the sum is formed."""
-    with pytest.raises(EvaluationOverflow, match="N = 100, xi = 100 overflows"):
-        h_eval(100, 100.0)
+    """The true value at xi = 1000 is about 1e505, past the double range."""
+    with pytest.raises(EvaluationOverflow, match="N = 100, xi = 1000 overflows"):
+        h_eval(100, 1000.0)
+
+
+def test_h_eval_is_finite_wherever_the_value_is(h_oracle):
+    """xi^200 overflows a double at xi = 100, but h_100(100), about 8.28e304,
+    does not: it comes out as the exact value rounded once."""
+    assert h_eval(100, 100.0) == h_oracle(100, 100.0) == 8.277871939845336e304
+
+
+# 15 points from below the support edge to xi = 10, and orders up to 200
+ORACLE_ORDERS = list(range(1, 21)) + [30, 50, 100, 150, 200]
+ORACLE_XIS = [0.5, 0.99, 1.0, 1.0001, 1.01, 1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5, 10.0]
+
+
+def test_h_values_are_the_exact_value_rounded_once(h_oracle):
+    """Every h_N(xi) on the 375-point grid is the exact value, rounded once
+    to the nearest double.  The float sum this replaced missed 283 of them
+    and gave 31 negative values."""
+    for n in ORACLE_ORDERS:
+        assert h_values(n, ORACLE_XIS) == [h_oracle(n, xi) for xi in ORACLE_XIS], n
+
+
+def test_h_values_below_the_double_range_are_plus_zero(h_oracle):
+    """h_200 vanishes to order 200 at xi = 1, so near it the value lies far
+    below the smallest subnormal and must round to +0.0, never to a
+    negative number."""
+    for xi in (1.0 + 2.0 ** -52, 1.0001, 1.01):
+        (v,) = h_values(200, [xi])
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0, xi
+    assert h_oracle(200, 1.1) == 0.0
+    # a subnormal value, and the first normal ones, are still rounded once
+    for xi in (1.17, 1.18, 1.2):
+        assert h_values(200, [xi])[0] == h_oracle(200, xi) > 0.0, xi
+    assert h_oracle(200, 1.17) < 2.2e-308
+
+
+def test_hjk_closed_and_quadrature_agree_bit_for_bit():
+    """Both sides are one Laurent polynomial in r, built two ways and rounded
+    once by the same evaluator, so verify-entries sees no gap at J, K <= 30."""
+    for j in range(1, 31):
+        for k in range(1, 31):
+            closed = hJK_closed(j, k)
+            for r in RADII:
+                assert closed.eval(r) == hJK_quadrature(j, k, r, 4 * (j + k) + 16), (j, k, r)
 
 
 # ---------------------------------------------------------------------------
