@@ -364,6 +364,8 @@ GOLDEN = {
     ("jacobian-test", "--N", "3", "--points", "5", "--seed", "7"): "0f617633893970267ca1327a894f449272ccdeb453882afdebc1dfb830c18a3b",
     ("mc", "--mode", "volume", "--N", "2", "--samples", "70000", "--seed", "3", "--workers", "2"): "1a11071ecf94b01fa09be3ab013026ff81f0a3f8d4ad34df40988a4c6462c462",
     ("mc", "--mode", "hn", "--N", "2", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "3f0faa62f47a028e88785bbe93abac65829ed2d48432be500f84e1030fd44de4",
+    ("mc", "--mode", "volume", "--N", "1", "--samples", "70000", "--seed", "3", "--workers", "2"): "f4e0e64a6cc3ddbe4558e87d09090fa063dbdbd8c19d460efec8afa669771377",
+    ("mc", "--mode", "hn", "--N", "1", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "23852ab7c2cb534cf28446e6099f4b1b0138ba6e45094bc13663868dc76adefb",
     ("measure", "--coeffs", "[1,-2,3.5,0.25,2]"): "99b1a855a3184b63ca78661ccd5574a616fa051ff54be076c2258fb0c8a0fad6",
     ("measure", "--coeffs", "[[1,0.5],[0,-1],[2,0],[0.5,0.5],[-1,0],[3,1],[0.25,0],[1,-1],[0,2],[-0.5,0],[1.5,0],[0,0.75],[2,-1]]"): "037831f7eeaea709022bf0cb8b8e96941e36e162d2f0e029c0f28446788779e2",
 }
