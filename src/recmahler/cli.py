@@ -158,7 +158,7 @@ def _cmd_hn(args) -> int:
     at_one = h.value_at_one()
     numeric = {"coeffs": {str(e): t.to_float() for e, t in h.terms.items()}}
     if args.xi is not None:
-        numeric["h_value"] = h_eval(n, args.xi)
+        numeric["h_value"] = h_values(n, [args.xi], h)[0]
     return _emit(args, {
         "exact_results": {
             "h_coeffs": {str(e): str(t) for e, t in h.terms.items()},

@@ -36,19 +36,39 @@ that the kernel puts at or below tau is dropped, and hits, and hence
 estimates, keep every bit.  A dropped row cannot count as a rejection
 either, and the tests check that rejections match the unscreened run too.
 Rows with v_N = 0 or a non-finite entry always reach the kernel, which
-scores them as rejections.  Kept are about 11% of the hn box rows at N = 2
-(16% in volume mode), 1-3% at N = 3, and from N = 5 almost none.  N = 1 is
-not screened: there the kernel costs one division a row, less than the
-screen, and the samples go to it uncopied.
+scores them as rejections.
 
-A chunk is built, screened and measured in row blocks of _BLOCK = 4096.
+The screen runs from N = 1, in two stages, so that most rows are dropped
+before their points are formed: the complex exponential is most of a
+point's cost.  The moduli stage sees only r = |v|.  Since q_k = v_k +
+sum_{m>k} P_mk v_m (measure._y_terms), |q_k| >= |v_k| - S_k with S_k =
+sum_{m>k} |P_mk| |v_m|, and the stage drops a row when, for some k,
+|v_k| > (1 + _MODULI_REL) (b_k + S_k), b_k being the second stage's bound
+on |q_k|.  The slack _MODULI_REL = 1e-6 is far above the rounding of q_k
+and of the stage's own sums, so the stage drops only rows that the second
+stage would drop too.  q_{N-1} = v_{N-1} exactly, and at N = 1 the moduli
+stage is the whole screen.  The kept rows' points are formed next, and
+from N = 2 the second stage, _may_hit, bounds their complex q.  Of the box
+rows, the stages keep:
+
+    N    hn (xi = 1.5)       volume
+    1    52%                 58%          (moduli stage only)
+    2    24%, then 11%       36%, then 16%
+    3    7%, then 1%         17%, then 3%
+    4    3%, then 0.07%      10%, then 0.3%
+
+and from N = 5 the first keeps under 1% of the hn rows and 3-6% of the
+volume rows, the second almost none.
+
+A chunk is drawn, screened and measured in row blocks of _BLOCK = 4096.
 For a whole chunk the root kernel's temporaries take a megabyte per complex
 column, and at N = 8 Aberth's (rows, N, N) arrays take 67 MB each: every
 fresh page costs a page fault, and the process keeps its largest size.  A
-block's temporaries stay in cache and are reused.  The rows a chunk keeps
-reach the kernel _BLOCK at a time, so one N = 2 chunk makes about 2 calls
-instead of 16.  The kernel works row by row and the tallies are integers,
-so blocks change no bit of an estimate.
+block's temporaries stay in cache and are reused.  Each block's w is drawn
+for every row, the dropped ones too, so the stream does not depend on the
+screen.  The rows a chunk keeps reach the kernel _BLOCK at a time, so one
+N = 2 chunk makes about 2 calls instead of 16.  The kernel works row by
+row and the tallies are integers, so blocks change no bit of an estimate.
 
 Reproducibility: draws come from the Philox counter-based generator, keyed
 by the user seed with the chunk index placed in the counter's top word.
@@ -69,7 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationOverflow, NoConvergence
-from .measure import mu_rec_batch, y_coeffs
+from .measure import _y_terms, mu_rec_batch, y_coeffs
 
 CHUNK = 1 << 16
 # rows per mu_rec_batch call (module docstring)
@@ -80,6 +100,9 @@ _REJECTION_CAP = 1e-6
 # the screen's one margin, relative to the bound (module docstring): it
 # must cover the kernel underestimating a row near the threshold
 _SCREEN_REL = 1e-4
+# the moduli stage's slack on top of it, far above the rounding of q_k or
+# of the stage's own sums, so that it drops only rows _may_hit drops
+_MODULI_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,24 +145,30 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 
 
-def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray) -> np.ndarray:
-    """count x len(radii) complex points, uniform on each disk.
+def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray):
+    """count x len(radii) points uniform on each disk, in polar form, as
+    (r, w) per block of _BLOCK rows; the point is _disk_points(r, w).
 
-    The bytes are those of radii * sqrt(u) * exp(2j * pi * w) for u and w
-    drawn whole, in that order.  w is drawn _BLOCK rows at a time, which
-    continues the same stream, and each block of the result is built in
-    place, so u and the result are the only full-size arrays.
+    The moduli r = radii * sqrt(u) come from u drawn whole, then each
+    block's w is drawn in turn, which continues the stream of w drawn
+    whole, so the points have the bytes of radii * sqrt(u) * exp(2j * pi *
+    w) for u and w drawn whole, in that order.
     """
     u = gen.random((count, radii.size))
     np.sqrt(u, out=u)
     u *= radii
-    v = np.empty((count, radii.size), dtype=complex)
     for first in range(0, count, _BLOCK):
-        block = v[first : first + _BLOCK]
-        np.multiply(gen.random(block.shape), 2j * np.pi, out=block)
-        np.exp(block, out=block)
-        block *= u[first : first + _BLOCK]
-    return v
+        r = u[first : first + _BLOCK]
+        yield r, gen.random(r.shape)
+
+
+def _disk_points(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """r * exp(2j * pi * w), elementwise, so that any subset of rows gets
+    the bytes the whole block would."""
+    z = np.multiply(w, 2j * np.pi)
+    np.exp(z, out=z)
+    z *= r
+    return z
 
 
 def _run_chunks(samples: int, seed: int, workers: int, chunk_fn):
@@ -193,6 +222,42 @@ def _may_hit(block: np.ndarray, lead: complex | None, threshold: float) -> np.nd
     return ~miss
 
 
+@functools.lru_cache(maxsize=None)
+def _moduli_terms(n_order: int) -> tuple[tuple[float, float, tuple[tuple[int, float], ...]], ...]:
+    """For each k < N, (A_k, B_k) of _screen_terms and the (m, |P_mk|) of
+    measure._y_terms, all widened by _MODULI_REL."""
+    s = 1.0 + _MODULI_REL
+    return tuple(
+        (a * s, b * s, tuple((m, abs(c) * s) for m, c in terms))
+        for (a, b), terms in zip(_screen_terms(n_order), _y_terms(n_order))
+    )
+
+
+def _moduli_may_hit(r: np.ndarray, lead: complex | None, threshold: float) -> np.ndarray:
+    """Mask of the rows of moduli r = |v| that _may_hit may keep: all but
+    those where some |v_k| - sum_{m>k} |P_mk| |v_m|, a lower bound on
+    |q_k|, is above _may_hit's bound on |q_k|, with the slack of the module
+    docstring.  r ends with |v_N| when lead is None.  A row with v_N = 0 or
+    a non-finite entry is kept.
+    """
+    n = r.shape[1] - (lead is None)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ell = r[:, n] if lead is None else abs(lead)
+        far = threshold + ell * ell / threshold
+        total = ell
+        miss = np.zeros(len(r), dtype=bool)
+        for k, (a, b, terms) in enumerate(_moduli_terms(n)):
+            # |v_k| > (1 + slack) (bound + sum), so a rounding of q_k far
+            # below the slack still leaves |q_k| above the bound
+            room = ell * a + far * b
+            for m, c in terms:
+                room = room + c * (ell if m == n else r[:, m])
+            miss |= r[:, k] > room
+            total = total + r[:, k]
+        miss &= (ell > 0) & np.isfinite(total)
+    return ~miss
+
+
 def _box_estimate(
     radii: np.ndarray,
     lead: complex | None,
@@ -204,9 +269,9 @@ def _box_estimate(
     """Estimate of vol{v : mu_rec(v) <= threshold} from v uniform on the
     product of disks with these radii, followed by the fixed leading
     coefficient lead, or with v_N sampled by the last disk when lead is None.
-    From N = 2 only the rows _may_hit keeps reach the root kernel.  A box
-    whose volume overflows a double raises EvaluationOverflow before any
-    sample is drawn.
+    Only the rows the screen keeps reach the root kernel: the moduli stage,
+    then from N = 2 _may_hit.  A box whose volume overflows a double raises
+    EvaluationOverflow before any sample is drawn.
     """
     n_order = radii.size - (lead is None)
     # every factor is at least pi, so an overflow on the way is one at the end
@@ -219,12 +284,16 @@ def _box_estimate(
         )
 
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int, int]:
-        v = _sample_disks(gen, count, radii)
-        if n_order > 1:
-            v = np.concatenate([
-                block[_may_hit(block, lead, threshold)]
-                for block in np.split(v, range(_BLOCK, count, _BLOCK))
-            ])
+        kept = []
+        for r, w in _sample_disks(gen, count, radii):
+            # np.compress copies the kept rows in a fraction of the time
+            # that boolean indexing takes
+            rows = _moduli_may_hit(r, lead, threshold)
+            block = _disk_points(np.compress(rows, r, axis=0), np.compress(rows, w, axis=0))
+            if n_order > 1:
+                block = np.compress(_may_hit(block, lead, threshold), block, axis=0)
+            kept.append(block)
+        v = np.concatenate(kept)
         hits = rejections = 0
         for first in range(0, len(v), _BLOCK):
             block = v[first : first + _BLOCK]

@@ -454,12 +454,14 @@ def h_eval(n_order: int, xi: float) -> float:
     return h_values(n_order, [xi])[0]
 
 
-def h_values(n_order: int, xis) -> list[float]:
-    """h_eval at each xi in turn, building h_closed(N) once.
+def h_values(n_order: int, xis, h: LaurentPi | None = None) -> list[float]:
+    """h_eval at each xi in turn, building h_closed(N) once, or not at all
+    when the caller passes it as h.
 
     Raises ValueError on a non-finite xi, EvaluationOverflow past a double.
     """
-    h = h_closed(n_order)
+    if h is None:
+        h = h_closed(n_order)
     out = []
     for xi in xis:
         if not math.isfinite(xi):

@@ -152,6 +152,24 @@ def test_hn_report_round_trips_exact_values(capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_hn_builds_the_closed_form_once(capsys, monkeypatch):
+    """The report's coefficients and its h_value come from one h_closed(N):
+    the golden digest of this call pins the bytes."""
+    calls = []
+
+    def counted(n_order):
+        calls.append(n_order)
+        return h_closed(n_order)
+
+    monkeypatch.setattr(cli, "h_closed", counted)
+    monkeypatch.setattr(spectral, "h_closed", counted)
+    argv = ("hn", "--N", "12", "--xi", "1.5")
+    code, out, _ = invoke(capsys, list(argv))
+    assert code == 0
+    assert calls == [12]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
 def test_hn_without_xi_omits_value(capsys):
     code, rep, _ = invoke_json(capsys, ["hn", "--N", "3"])
     assert code == 0

@@ -573,7 +573,8 @@ def test_palindrome_row_the_circle_start_misses_is_retried():
     """Row 8218 of chunk 0 of mc_volume(10, 10_000) at seed 0: the circle
     start does not converge on its palindrome, the companion start does."""
     radii = np.append(montecarlo.bounding_radii(10, 1.0), 1.0)
-    v = montecarlo._sample_disks(montecarlo._chunk_generator(0, 0), 10_000, radii)[8218:8219]
+    blocks = montecarlo._sample_disks(montecarlo._chunk_generator(0, 0), 10_000, radii)
+    v = np.concatenate([montecarlo._disk_points(r, w) for r, w in blocks])[8218:8219]
     assert not aberth_batch(lambda_embed(v), 1e-9)[2][0]
     meas, ok = mu_rec_batch(v, 1e-9)
     assert bool(ok[0])

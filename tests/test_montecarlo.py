@@ -15,6 +15,7 @@ from recmahler.montecarlo import (
     CHUNK,
     MCEstimate,
     _chunk_generator,
+    _disk_points,
     _sample_disks,
     bounding_radii,
     mc_hN,
@@ -28,15 +29,31 @@ from recmahler.symfun import pair_basis
 # sampling
 
 
+def _points(gen, count, radii):
+    """Every point _sample_disks draws, as the box estimate would form them
+    with no row screened out."""
+    return np.concatenate([_disk_points(r, w) for r, w in _sample_disks(gen, count, radii)])
+
+
 def test_sample_disks_bytes_match_the_formula():
     radii = bounding_radii(3, 1.5)
-    v = _sample_disks(_chunk_generator(11, 2), 1000, radii)
+    v = _points(_chunk_generator(11, 2), 1000, radii)
     gen = _chunk_generator(11, 2)
     u = gen.random((1000, radii.size))
     w = gen.random((1000, radii.size))
     expect = radii * np.sqrt(u) * np.exp(2j * np.pi * w)
     assert v.dtype == expect.dtype and v.shape == expect.shape
     assert v.tobytes() == expect.tobytes()
+
+
+def test_points_of_kept_rows_keep_their_bytes():
+    """The estimate forms the points of the rows its moduli stage keeps
+    only: each gets the bytes it has among all the rows."""
+    radii = np.append(bounding_radii(2, 1.0), 1.0)
+    for r, w in _sample_disks(_chunk_generator(5, 0), 2 * montecarlo._BLOCK + 7, radii):
+        rows = np.arange(len(r)) % 3 == 1
+        whole = _disk_points(r, w)[rows]
+        assert _disk_points(r[rows], w[rows]).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +218,7 @@ def test_containment_of_sublevel_set():
         for ci in range(n_chunks):
             count = min(CHUNK, samples - ci * CHUNK)
             gen = _chunk_generator(9000 + n_order, ci)
-            b = _sample_disks(gen, count, inflated)
+            b = _points(gen, count, inflated)
             v = np.concatenate([b, np.ones((count, 1), dtype=complex)], axis=1)
             meas, _ = mu_rec_batch(v, 1e-9)
             hits = meas <= xi
@@ -252,7 +269,7 @@ def test_blocked_estimates_equal_the_whole_chunk_ones(monkeypatch, n_order, samp
 def test_blocked_draw_keeps_the_bytes_of_the_whole_draw():
     radii = np.append(bounding_radii(2, 1.0), 1.0)
     count = 3 * montecarlo._BLOCK + 5
-    v = _sample_disks(_chunk_generator(4, 1), count, radii)
+    v = _points(_chunk_generator(4, 1), count, radii)
     gen = _chunk_generator(4, 1)
     u = gen.random((count, radii.size))
     w = gen.random((count, radii.size))
@@ -310,6 +327,12 @@ def _keep_all(block, lead, threshold):
     return np.ones(len(block), dtype=bool)
 
 
+def _screen_off(monkeypatch):
+    """Both stages of the screen keep every row."""
+    monkeypatch.setattr(montecarlo, "_moduli_may_hit", _keep_all)
+    monkeypatch.setattr(montecarlo, "_may_hit", _keep_all)
+
+
 def _unscreened(est):
     """est as it reads when every sample reaches the root kernel."""
     return dataclasses.replace(est, solved=est.samples)
@@ -327,7 +350,7 @@ def test_screen_keeps_every_row_at_or_below_the_threshold(mode, n_order):
     lead = 1.0
     if mode == "volume":
         radii, lead = np.append(radii, 2.0), None
-    v = _sample_disks(_chunk_generator(9100 + n_order, 0), count, radii)
+    v = _points(_chunk_generator(9100 + n_order, 0), count, radii)
     full = v if lead is None else np.concatenate([v, np.ones((count, 1))], axis=1)
     meas, ok = mu_rec_batch(full, 1e-9)
     assert bool(np.all(ok))
@@ -349,11 +372,12 @@ def _vertex_row(n_order, lead, threshold, sign, stretch=1.0):
     return pal[n_order:]
 
 
-@pytest.mark.parametrize("n_order", [2, 3, 5, 8])
+@pytest.mark.parametrize("n_order", [1, 2, 3, 5, 8])
 def test_screen_keeps_the_vertex_rows(n_order):
     """At the vertex rows every |q_k| meets its bound, so these rows sit on
-    the screen's edge: they are kept, while the same rows with the large
-    root pair moved 10% out are dropped."""
+    the screen's edge: both stages keep them, while _may_hit drops the same
+    rows with the large root pair moved 10% out, and at N = 1, where it is
+    the whole screen, so does the moduli stage."""
     a_b = montecarlo._screen_terms(n_order)
     for lead, threshold in [(1.0, 1.0), (1.0, 1.5), (0.5, 1.0), (1e-3, 1.0), (-2.0j, 40.0)]:
         ell = abs(lead)
@@ -366,9 +390,47 @@ def test_screen_keeps_the_vertex_rows(n_order):
             rows = v[None, :]
             assert montecarlo._may_hit(rows, None, threshold).tolist() == [True]
             assert montecarlo._may_hit(rows[:, :-1], lead, threshold).tolist() == [True]
+            moduli = np.abs(rows)
+            assert montecarlo._moduli_may_hit(moduli, None, threshold).tolist() == [True]
+            assert montecarlo._moduli_may_hit(moduli[:, :-1], lead, threshold).tolist() == [True]
             if threshold / ell >= 1.5:
                 out = _vertex_row(n_order, lead, threshold, sign, stretch=1.1)[None, :]
                 assert montecarlo._may_hit(out, None, threshold).tolist() == [False]
+                if n_order == 1:
+                    drop = montecarlo._moduli_may_hit(np.abs(out), None, threshold)
+                    assert drop.tolist() == [False]
+
+
+@pytest.mark.parametrize("mode", ["hn", "volume"])
+@pytest.mark.parametrize("n_order", range(1, 9))
+def test_moduli_stage_keeps_every_row_the_screen_keeps(mode, n_order):
+    """On a 2x inflated box, at the thresholds of
+    test_screen_keeps_every_row_at_or_below_the_threshold, the moduli stage
+    keeps every row that _may_hit keeps, and drops some rows at the nominal
+    one; it keeps rows with v_N = 0 or a NaN modulus."""
+    count = 2 * montecarlo._BLOCK
+    xi = 1.2 if mode == "hn" else 1.0
+    radii = 2.0 * bounding_radii(n_order, xi)
+    lead = 1.0
+    if mode == "volume":
+        radii, lead = np.append(radii, 2.0), None
+    blocks = list(_sample_disks(_chunk_generator(9300 + n_order, 0), count, radii))
+    r = np.concatenate([r for r, _ in blocks])
+    v = np.concatenate([_disk_points(r, w) for r, w in blocks])
+    full = v if lead is None else np.concatenate([v, np.ones((count, 1))], axis=1)
+    meas, _ = mu_rec_batch(full, 1e-9)
+    for threshold in [xi] + list(np.quantile(meas[np.isfinite(meas)], [0.01, 0.1, 0.5])):
+        kept = montecarlo._may_hit(v, lead, threshold)
+        assert bool(np.all(montecarlo._moduli_may_hit(r, lead, threshold)[kept]))
+    assert not np.all(montecarlo._moduli_may_hit(r, lead, xi))
+    # a row far out of the screen, kept once it has v_N = 0 or a NaN entry
+    far_out = radii.copy()
+    if lead is None:
+        far_out[-1] = 1.0
+    assert montecarlo._moduli_may_hit(far_out[None, :], lead, xi).tolist() == [False]
+    bad = np.tile(far_out, (2, 1))
+    bad[0, -1], bad[1, 0] = (0.0 if lead is None else math.nan), math.nan
+    assert montecarlo._moduli_may_hit(bad, lead, xi).tolist() == [True, True]
 
 
 @pytest.mark.parametrize("n_order", range(2, 9))
@@ -376,7 +438,7 @@ def test_hn_screen_bounds_the_coefficients_the_kernel_solves(monkeypatch, n_orde
     """The hn screen forms q with the scalar lead 1, the kernel from rows
     that end in a column of ones, and every |q_k| agrees bit for bit: the
     screen's bound needs no margin for q's rounding."""
-    v = _sample_disks(_chunk_generator(3, 0), 500, bounding_radii(n_order, 1.5))
+    v = _points(_chunk_generator(3, 0), 500, bounding_radii(n_order, 1.5))
     solved = []
     batch_roots = measure._batch_roots
 
@@ -411,7 +473,7 @@ def test_screen_keeps_every_tally(monkeypatch, mode, n_order):
             yield mc_volume(n_order, 70_000, seed=10, workers=2)
 
     screened = list(runs())
-    monkeypatch.setattr(montecarlo, "_may_hit", _keep_all)
+    _screen_off(monkeypatch)
     assert [_unscreened(est) for est in screened] == list(runs())
 
 
@@ -428,7 +490,7 @@ def test_screen_keeps_the_order_three_threshold_tallies(monkeypatch):
             yield montecarlo._box_estimate(vol_radii, None, threshold, 10_000, 7, 1)
 
     screened = list(runs())
-    monkeypatch.setattr(montecarlo, "_may_hit", _keep_all)
+    _screen_off(monkeypatch)
     assert [_unscreened(est) for est in screened] == list(runs())
 
 
@@ -439,10 +501,12 @@ def test_rows_without_a_leading_coefficient_reach_the_kernel(monkeypatch):
     sample = montecarlo._sample_disks
 
     def with_bad_rows(gen, count, radii):
-        v = sample(gen, count, radii)
-        v[5, -1] = 0.0
-        v[7, 0] = complex("nan")
-        return v
+        blocks = sample(gen, count, radii)
+        r, w = next(blocks)
+        r[5, -1] = 0.0
+        r[7, 0] = math.nan
+        yield r, w
+        yield from blocks
 
     monkeypatch.setattr(montecarlo, "_sample_disks", with_bad_rows)
     with pytest.raises(NoConvergence, match="^2 of 10000 samples failed the root solve$"):
@@ -450,7 +514,11 @@ def test_rows_without_a_leading_coefficient_reach_the_kernel(monkeypatch):
 
 
 def test_solved_counts_the_rows_that_reach_the_kernel():
-    for est in (mc_hN(1, 1.5, 10_000, seed=2), mc_volume(1, 10_000, seed=2)):
-        assert est.solved == est.samples
+    """At N = 1 the moduli stage is the whole screen: a row reaches the
+    kernel when |v_0| <= xi + |v_1|^2 / xi, which is 169/324 of the hn box
+    at xi = 1.5 and 7/12 of the volume box."""
+    for est, share in ((mc_hN(1, 1.5, 10_000, seed=2), 169 / 324),
+                       (mc_volume(1, 10_000, seed=2), 7 / 12)):
+        assert abs(est.solved / est.samples - share) < 0.02
     est = mc_hN(2, 1.5, 1 << 16, seed=1)
     assert 0 < est.solved <= 0.12 * est.samples
