@@ -283,17 +283,17 @@ def _box_estimate(
             "overflows a double"
         )
 
+    def screened(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # np.compress copies the kept rows in a fraction of the time that
+        # boolean indexing takes
+        rows = _moduli_may_hit(r, lead, threshold)
+        block = _disk_points(np.compress(rows, r, axis=0), np.compress(rows, w, axis=0))
+        if n_order > 1:
+            block = np.compress(_may_hit(block, lead, threshold), block, axis=0)
+        return block
+
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int, int]:
-        kept = []
-        for r, w in _sample_disks(gen, count, radii):
-            # np.compress copies the kept rows in a fraction of the time
-            # that boolean indexing takes
-            rows = _moduli_may_hit(r, lead, threshold)
-            block = _disk_points(np.compress(rows, r, axis=0), np.compress(rows, w, axis=0))
-            if n_order > 1:
-                block = np.compress(_may_hit(block, lead, threshold), block, axis=0)
-            kept.append(block)
-        v = np.concatenate(kept)
+        v = np.concatenate([screened(r, w) for r, w in _sample_disks(gen, count, radii)])
         hits = rejections = 0
         for first in range(0, len(v), _BLOCK):
             block = v[first : first + _BLOCK]
