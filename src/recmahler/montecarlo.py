@@ -83,6 +83,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -145,7 +146,9 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
 
 
-def _sample_disks(gen: np.random.Generator, count: int, radii: np.ndarray):
+def _sample_disks(
+    gen: np.random.Generator, count: int, radii: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """count x len(radii) points uniform on each disk, in polar form, as
     (r, w) per block of _BLOCK rows; the point is _disk_points(r, w).
 
