@@ -415,14 +415,14 @@ def test_moduli_stage_keeps_every_row_the_screen_keeps(mode, n_order):
     if mode == "volume":
         radii, lead = np.append(radii, 2.0), None
     blocks = list(_sample_disks(_chunk_generator(9300 + n_order, 0), count, radii))
-    r = np.concatenate([r for r, _ in blocks])
+    moduli = np.concatenate([r for r, _ in blocks])
     v = np.concatenate([_disk_points(r, w) for r, w in blocks])
     full = v if lead is None else np.concatenate([v, np.ones((count, 1))], axis=1)
     meas, _ = mu_rec_batch(full, 1e-9)
     for threshold in [xi] + list(np.quantile(meas[np.isfinite(meas)], [0.01, 0.1, 0.5])):
         kept = montecarlo._may_hit(v, lead, threshold)
-        assert bool(np.all(montecarlo._moduli_may_hit(r, lead, threshold)[kept]))
-    assert not np.all(montecarlo._moduli_may_hit(r, lead, xi))
+        assert bool(np.all(montecarlo._moduli_may_hit(moduli, lead, threshold)[kept]))
+    assert not np.all(montecarlo._moduli_may_hit(moduli, lead, xi))
     # a row far out of the screen, kept once it has v_N = 0 or a NaN entry
     far_out = radii.copy()
     if lead is None:
