@@ -9,8 +9,9 @@ The public surface, by layer:
 * polynomials: RecipLaurent, MonicRecip, RootVec and the coefficient maps;
 * measure: find_roots, mahler_from_roots, mahler_quadrature, mu_rec, nu_rec;
 * symfun: elem_sym, epsilon_via_e, vandermonde, jacobian determinants;
-* spectral: moment matrix, exact determinant identity (elimination in pole
-  form), residues rho, the closed distribution h_N, star body volume;
+* spectral: moment matrix, exact determinant identity (proved from the
+  factorization I = C^T D C), residues rho, the closed distribution h_N,
+  star body volume;
 * montecarlo: mc_hN, mc_volume sampling cross-checks.
 """
 
@@ -51,7 +52,7 @@ from .spectral import (
     coeff_c,
     det_double_sum,
     det_ratfun,
-    det_residue_maps,
+    factorization_checks,
     h_closed,
     h_eval,
     h_hat,
@@ -93,11 +94,11 @@ __all__ = [
     "coeff_c",
     "det_double_sum",
     "det_ratfun",
-    "det_residue_maps",
     "e_map",
     "elem_sym",
     "epsilon_via_e",
     "eval_recip",
+    "factorization_checks",
     "find_roots",
     "from_roots",
     "h_closed",

@@ -66,11 +66,6 @@ class NodeOnZero(ComputationFailed):
     """Log-integral quadrature hit an exact zero of the integrand."""
 
 
-class NonConstantMultiplier(ComputationFailed):
-    """Pole-form elimination met a row entry that is not a constant multiple
-    of the pivot, so the row update would leave pole form."""
-
-
 class EvaluationOverflow(ComputationFailed):
     """A float value, or a term of the sum that gives it, overflows a double."""
 

@@ -483,7 +483,7 @@ class RatFunPi:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by exact zero")
-            return RatFunPi(self.pi_power, self.fun * Fraction(1, 1) / other)
+            return RatFunPi(self.pi_power, self.fun / other)
         return NotImplemented
 
     def is_odd(self) -> bool:
@@ -732,16 +732,6 @@ def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
     return out
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer polynomials, ascending coefficients."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _pole_form(poles: Mapping[int, Fraction]) -> tuple[list[int], int, list[int]]:
     """Integers (num, common, den) with sum_n r_n / (s - n) equal to
     num / (common * den), for a nonempty map of nonzero residues.
@@ -787,40 +777,6 @@ def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFun
     if not poles:
         return RatFunPi.zero()
     return _ratfun_from_ints(pi_power, *_pole_form(poles))
-
-
-def ratfun_product_from_poles(
-    pi_power: int, factors: Iterable[Mapping[int, Fraction]]
-) -> RatFunPi:
-    """pi^pi_power * prod_k sum_n r_kn / (s - n), in reduced form, no gcd.
-
-    Each factor's integer numerator and denominator come from its poles as
-    in ratfun_from_poles, and the products are taken in integers.  Every
-    root of the product denominator is a known integer pole, so a common
-    factor of the two products can only be (s - n) at such a pole: dividing
-    both by it (synthetic division) while the numerator vanishes there, up
-    to the pole's multiplicity, leaves them coprime.  A factor with no
-    nonzero residue makes the product zero.
-    """
-    num, common, den = [1], 1, [1]
-    multiplicity: dict[int, int] = {}
-    for residues in factors:
-        poles = _nonzero_residues(residues)
-        if not poles:
-            return RatFunPi.zero()
-        f_num, f_common, f_den = _pole_form(poles)
-        num = _int_poly_mul(num, f_num)
-        den = _int_poly_mul(den, f_den)
-        common *= f_common
-        for n in poles:
-            multiplicity[n] = multiplicity.get(n, 0) + 1
-    for n, k in multiplicity.items():
-        for _ in range(k):
-            if _eval_int(num, n) != 0:
-                break
-            num = _deflate(num, n)
-            den = _deflate(den, n)
-    return _ratfun_from_ints(pi_power, num, common, den)
 
 
 def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:

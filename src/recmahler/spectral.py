@@ -19,11 +19,11 @@ The central objects, all exact:
   the circle integral's exact trapezoid sum: a constant term in integers.
 
 * det of the N x N moment matrix equals prod_{n<=N} 2*pi*s/(s^2 - n^2)
-  exactly; h_product builds that product, and det_residue_maps recomputes
-  the left side by elimination on the entries' residue maps (pole form),
-  with no gcd.  det_ratfun, elimination over general RatFunPi entries, and
-  det_double_sum, a permutation-sum oracle, are the references it is
-  tested against; the acceptance suite holds the identity for N up to 8.
+  exactly; h_product builds that product, and factorization_checks proves
+  the identity from I = C^T D C (below), with no elimination.  det_ratfun,
+  elimination over general RatFunPi entries, and det_double_sum, a
+  permutation-sum oracle, are the references it is tested against; the
+  acceptance suite holds the identity for N up to 8.
 
 * rho(N, n): residue of the Mellin transform hhat_N = H_N/(2s) at s = n,
 
@@ -44,16 +44,16 @@ The central objects, all exact:
 
 The factorization behind the determinant: the moment matrix is C^T D C
 with C the unitriangular integer matrix of c_n(J) and D the diagonal of
-2*pi*s/(s^2 - n^2).  The last diagonal entry is also reachable through a
-rank-one identity: any exact kernel vector psi of the first N-1 rows of C
-satisfies I psi = d_N (omega_N . psi) omega_N.  omega_psi_check reads all
-of it off C's structure, with no elimination: psi comes from integer back
-substitution, det C = 1 is the product of the diagonal of an upper
-triangular C, and the identity and the factorization (each of the N^2
-entries, built once per pair J <= K from the n == J (mod 2) terms) are
-compared as residue maps.  The same factorization is the LDL^T
-decomposition of I, so elimination on I keeps every entry in pole form:
-its pivots are the d_k and its multipliers the integers c_k(J).
+2*pi*s/(s^2 - n^2), so det I = (det C)^2 det D = prod_n d_n.
+factorization_checks proves both halves off C's structure, with no
+elimination: each of the N^2 entries of C^T D C, built once per pair
+J <= K, is compared with I's as a residue map, and det C = 1 is the
+product of the diagonal of an upper triangular C.  The last diagonal
+entry is also reachable through a rank-one identity: any exact kernel
+vector psi of the first N-1 rows of C satisfies
+I psi = d_N (omega_N . psi) omega_N.  omega_psi_check gets psi from
+integer back substitution, compares the identity as residue maps, and
+runs factorization_checks too.
 
 Every rational function compared here is proper with simple poles, so two
 of them are equal exactly when their residue maps are: comparing the maps
@@ -68,14 +68,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .errors import (
-    DimensionTooLarge,
-    EvaluationOverflow,
-    IndexOutOfRange,
-    NonConstantMultiplier,
-)
+from .errors import DimensionTooLarge, EvaluationOverflow, IndexOutOfRange
 from .exact import (
-    _PI_128,  # noqa: F401  (kept importable as spectral._PI_128)
     LaurentPi,
     PiScaled,
     RatFunPi,
@@ -83,7 +77,6 @@ from .exact import (
     int_poly_from_roots,
     laurent_from_poles,
     ratfun_from_poles,
-    ratfun_product_from_poles,
 )
 
 
@@ -255,6 +248,53 @@ def _as_entry_rows(matrix) -> list[list]:
     return rows
 
 
+def factorization_checks(
+    c: Sequence[Sequence[int]], entries: Sequence[Sequence[dict]]
+) -> tuple[tuple[str, bool, str], ...]:
+    """The exact checks that prove det I = (det C)^2 det D = prod_n d_n:
+    "factorization", I == C^T D C entry by entry, and "unimodular C", det C
+    = 1 as the product of the diagonal of an upper triangular C.
+
+    c holds C's rows, c[n-1][J-1] = c_n(J), and entries I's residue maps
+    over pi, entries[J-1][K-1].  A failed factorization names the first
+    (J, K), row by row over J <= K, where I differs from C^T D C.
+    """
+    size = len(c)
+    miss = _first_ctdc_miss(c, entries)
+    upper = not any(c[n][j] for n in range(size) for j in range(n))
+    det_c = math.prod(c[n][n] for n in range(size))
+    fact = f"I != C^T D C at (J, K) = {miss}" if miss else "I == C^T D C entry by entry, exact"
+    unimodular = f"det C = {det_c}, expected 1" if upper else "C is not upper triangular"
+    return (
+        ("factorization", miss is None, fact),
+        ("unimodular C", upper and det_c == 1, unimodular),
+    )
+
+
+def _first_ctdc_miss(c, entries) -> tuple[int, int] | None:
+    """First (J, K) where I differs from C^T D C, or None.
+
+    (C^T D C)[J][K] / pi = sum_n c_n(J) c_n(K) (1/(s - n) + 1/(s + n)), and
+    the poles of different n never collide, so its residue map is
+    c_n(J) c_n(K) at +-n with no accumulation.  It is built once per pair
+    J <= K, from the nonzero entries of C's column J, and held to both
+    I[J][K] and I[K][J].
+    """
+    size = len(c)
+    cols = [[(n, row[j]) for n, row in enumerate(c) if row[j]] for j in range(size)]
+    for j in range(size):
+        for k in range(j, size):
+            ctdc = {}
+            for n, w in cols[j]:
+                if x := w * c[n][k]:
+                    ctdc[n + 1] = ctdc[-n - 1] = x
+            if entries[j][k] != ctdc:
+                return j + 1, k + 1
+            if entries[k][j] != ctdc:
+                return k + 1, j + 1
+    return None
+
+
 def det_ratfun(matrix) -> RatFunPi:
     """Exact determinant of a matrix of RatFunPi by pivoted elimination.
 
@@ -288,73 +328,6 @@ def det_ratfun(matrix) -> RatFunPi:
     for idx in range(n):
         det = det * rows[idx][idx]
     return det * Fraction(sign)
-
-
-def det_residue_maps(rows) -> RatFunPi:
-    """Exact determinant of a matrix whose entries are pi * sum_n r_n/(s - n),
-    each given by its residue map {n: r_n}, by elimination in pole form.
-
-    Pivoting is det_ratfun's: the first row with a nonzero entry in the
-    current column is the pivot.  Every entry below the pivot must be a
-    constant multiple lambda of it, so the row update is arithmetic on
-    residue maps and stays in pole form; an entry that is not raises
-    NonConstantMultiplier.  The moment matrix never does, since I = C^T D C
-    gives pivots d_k and integer multipliers c_k(J).  The determinant is
-    the sign times the product of the pivots, reduced without a gcd by
-    ratfun_product_from_poles.
-    """
-    rows = [
-        [{p: r for p, r in e.items() if r != 0} for e in row]
-        for row in _as_entry_rows(rows)
-    ]
-    n = len(rows)
-    sign = 1
-    pivots = []
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return RatFunPi.zero()
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        pivot_rest = [(c2, rows[col][c2]) for c2 in range(col + 1, n) if rows[col][c2]]
-        for r in range(col + 1, n):
-            entry = rows[r][col]
-            if not entry:
-                continue
-            lam = _multiplier(entry, pivot)
-            if lam is None:
-                raise NonConstantMultiplier(
-                    f"entry ({r + 1}, {col + 1}) is not a constant multiple of "
-                    f"the pivot at elimination step {col + 1}"
-                )
-            for c2, source in pivot_rest:
-                # every map in rows is its own copy, so update it in place
-                target = rows[r][c2]
-                for p, v in source.items():
-                    x = target.get(p, 0) - lam * v
-                    if x:
-                        target[p] = x
-                    else:
-                        del target[p]
-        pivots.append(pivot)
-    if sign < 0:
-        pivots[0] = {p: -r for p, r in pivots[0].items()}
-    return ratfun_product_from_poles(n, pivots)
-
-
-def _multiplier(entry: dict, pivot: dict):
-    """lambda with entry == lambda * pivot as residue maps, or None."""
-    if entry.keys() != pivot.keys():
-        return None
-    p0 = next(iter(pivot))
-    lam = Fraction(entry[p0]) / pivot[p0]
-    if lam.denominator == 1:
-        lam = lam.numerator
-    if any(entry[p] != lam * r for p, r in pivot.items()):
-        return None
-    return lam
 
 
 def det_double_sum(matrix):
@@ -513,8 +486,7 @@ def omega_psi_check(n_order: int) -> RankOneReport:
     checks confirm, all in exact arithmetic:
 
       * I psi = d_N * (omega_N . psi) * omega_N  (row by row),
-      * I = C^T D C entry by entry,
-      * det C = 1, as the product of the diagonal of an upper triangular C.
+      * factorization_checks: I = C^T D C entry by entry, and det C = 1.
     """
     if n_order < 2:
         raise IndexOutOfRange("rank-one check needs order >= 2")
@@ -542,29 +514,7 @@ def omega_psi_check(n_order: int) -> RankOneReport:
         )
     )
 
-    def ctdc(j: int, k: int) -> dict:
-        """Residue map of (C^T D C)[j][k] / pi for j <= k; c_n(J) vanishes
-        unless n == J (mod 2)."""
-        return _combine(
-            (c[n][j] * c[n][k], _d_residues(n + 1)) for n in range(j % 2, j + 1, 2)
-        )
-
-    ok_fact = all(
-        entries[j][k] == ctdc(j, k) == entries[k][j]
-        for j in range(big_n)
-        for k in range(j, big_n)
-    )
-    checks.append(("factorization", ok_fact, "I == C^T D C entry by entry, exact"))
-
-    upper = not any(c[n][j] for n in range(big_n) for j in range(n))
-    det_c = math.prod(c[n][n] for n in range(big_n))
-    checks.append(
-        (
-            "unimodular C",
-            upper and det_c == 1,
-            f"det C = {det_c}, expected 1" if upper else "C is not upper triangular",
-        )
-    )
+    checks.extend(factorization_checks(c, entries))
 
     return RankOneReport(big_n, tuple(Fraction(x) for x in psi), tuple(checks))
 

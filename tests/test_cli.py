@@ -19,7 +19,15 @@ from recmahler import cli, measure, spectral
 from recmahler.cli import N_CAPS, run
 from recmahler.errors import NoConvergence
 from recmahler.exact import parse_pi_scaled, ratfun_from_lists
-from recmahler.spectral import h_closed, h_eval, h_hat, volume_exact
+from recmahler.spectral import (
+    det_double_sum,
+    det_ratfun,
+    h_closed,
+    h_eval,
+    h_hat,
+    i_matrix,
+    volume_exact,
+)
 
 F = Fraction
 
@@ -211,26 +219,46 @@ def _tamper_entry(monkeypatch, j, k, change):
     monkeypatch.setattr(spectral, "_entry_residues", tampered)
 
 
-def test_verify_det_fails_on_a_scaled_entry(capsys, monkeypatch):
-    """I[1][1] doubled keeps every multiplier constant, so elimination runs
-    to a determinant that differs from the product form."""
-    _tamper_entry(monkeypatch, 1, 1, lambda res: res.update({1: 2, -1: 2}))
+def _assert_verify_det_names(capsys, entry):
+    """A tampered moment matrix fails the factorization, so verify-det
+    claims no determinant and names the entry where I != C^T D C."""
     code, rep, _ = invoke_json(capsys, ["verify-det", "--N", "4"])
     assert code == 1
-    assert rep["checks"][0]["status"] == "fail"
-    det = ratfun_from_lists(rep["exact_results"]["determinant"])
-    assert det.pi_power == 4 and det != spectral.h_product(4)
+    (check,) = rep["checks"]
+    assert check["status"] == "fail"
+    assert check["detail"] == f"factorization: I != C^T D C at (J, K) = {entry}"
+    assert rep["exact_results"]["determinant"] is None
     assert ratfun_from_lists(rep["exact_results"]["product_form"]) == spectral.h_product(4)
 
 
-def test_verify_det_exits_three_on_a_non_constant_multiplier(capsys, monkeypatch):
-    """I[3][1] one unit off at s = 1 alone is no multiple of the pivot d_1."""
+def test_verify_det_fails_on_a_scaled_entry(capsys, monkeypatch):
+    """I[1][1] doubled: every entry stays a multiple of C^T D C's, but
+    I[1][1] is not equal to it."""
+    _tamper_entry(monkeypatch, 1, 1, lambda res: res.update({1: 2, -1: 2}))
+    _assert_verify_det_names(capsys, (1, 1))
+
+
+def test_verify_det_fails_on_an_entry_below_the_diagonal(capsys, monkeypatch):
+    """I[3][1] one unit off at s = 1 while I[1][3] is right: the map built
+    for the pair J <= K is held to both triangles."""
     _tamper_entry(monkeypatch, 3, 1, lambda res: res.update({1: res[1] + 1}))
-    code, out, err = invoke(capsys, ["verify-det", "--N", "4"])
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and "not a constant multiple" in err
-    assert len(err.strip().splitlines()) == 1
+    _assert_verify_det_names(capsys, (3, 1))
+
+
+def _verify_det_determinant(capsys, n):
+    code, rep, _ = invoke_json(capsys, ["verify-det", "--N", str(n)])
+    assert code == 0
+    return ratfun_from_lists(rep["exact_results"]["determinant"])
+
+
+def test_verify_det_determinant_equals_det_ratfun_to_order_10(capsys):
+    for n in range(1, 11):
+        assert _verify_det_determinant(capsys, n) == det_ratfun(i_matrix(n))
+
+
+def test_verify_det_determinant_equals_double_sum_to_order_4(capsys):
+    for n in range(1, 5):
+        assert _verify_det_determinant(capsys, n) == det_double_sum(i_matrix(n))
 
 
 def test_verify_entries(capsys):

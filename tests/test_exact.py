@@ -40,7 +40,6 @@ from recmahler.exact import (
     ratfun_eval_exact,
     ratfun_from_lists,
     ratfun_from_poles,
-    ratfun_product_from_poles,
     ratfun_to_lists,
 )
 
@@ -192,6 +191,17 @@ def test_ratfunq_division_by_zero():
         RatFunQ.make(PolyQ((F(1),)), PolyQ())
 
 
+def test_ratfun_pi_divides_by_a_scalar():
+    """Division by an int or a Fraction scales the numerator and keeps the
+    grade and the reduced, monic form."""
+    f = RatFunPi.from_coeffs(2, (0, 4), (-4, 0, 2))
+    assert f / 3 == RatFunPi.from_coeffs(2, (0, F(2, 3)), (-2, 0, 1))
+    assert f / F(-1, 2) == f * -2
+    assert (f / F(2, 5)).fun.den.leading == 1
+    with pytest.raises(DivisionByZero):
+        f / 0
+
+
 small_polys = st.lists(rationals, min_size=0, max_size=3).map(
     lambda cs: PolyQ(tuple(cs))
 )
@@ -332,28 +342,6 @@ def test_ratfun_from_poles_equals_sum_of_terms(grade, residues):
     for n, r in residues.items():
         total = total + RatFunPi.from_coeffs(grade, (r,), (-n, 1))
     assert ratfun_from_poles(grade, residues) == total
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(-3, 3),
-    st.lists(
-        st.dictionaries(keys=st.integers(-3, 3), values=rationals, max_size=3),
-        max_size=4,
-    ),
-)
-@example(1, [{1: F(1), -1: F(1)}, {0: F(1)}])
-@example(2, [{0: F(1), 2: F(1)}, {0: F(1), 2: F(1)}, {1: F(1)}])
-@example(0, [{0: F(1), 2: F(1)}, {1: F(1)}, {1: F(-3, 2)}])
-@example(3, [{1: F(2)}, {}])
-def test_ratfun_product_from_poles_equals_gcd_product(grade, factors):
-    """The product cancelled at its poles equals the gcd-reduced product.
-    The examples cancel s once, (s - 1) once of its two, and (s - 1) at a
-    pole two factors share."""
-    expected = RatFunPi(grade, RatFunQ.one())
-    for res in factors:
-        expected = expected * ratfun_from_poles(0, res)
-    assert ratfun_product_from_poles(grade, factors) == expected
 
 
 def test_partial_fractions_huge_integer_poles():

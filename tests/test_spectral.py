@@ -13,17 +13,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from recmahler import spectral
-from recmahler.errors import (
-    DimensionTooLarge,
-    EvaluationOverflow,
-    IndexOutOfRange,
-    NonConstantMultiplier,
-)
+from recmahler.errors import DimensionTooLarge, EvaluationOverflow, IndexOutOfRange
 from recmahler.exact import (
+    _PI_128,
     LaurentPi,
     PiScaled,
     RatFunPi,
@@ -40,7 +34,7 @@ from recmahler.spectral import (
     d_term,
     det_double_sum,
     det_ratfun,
-    det_residue_maps,
+    factorization_checks,
     h_closed,
     h_eval,
     h_hat,
@@ -216,7 +210,7 @@ def test_hjk_quadrature_is_exactly_zero_off_parity():
 
 
 def test_hjk_quadrature_pi_is_within_2_to_the_minus_126():
-    pi = spectral._PI_128
+    pi = _PI_128
     with mpmath.workdps(80):
         gap = abs(mpmath.mpf(pi.numerator) / pi.denominator - mpmath.pi)
         assert gap <= mpmath.mpf(2) ** -126
@@ -252,87 +246,34 @@ def test_i_residue_maps_build_i_matrix():
         i_residue_maps(0)
 
 
-def test_det_residue_maps_equals_det_ratfun_to_order_10():
-    for n in range(1, 11):
-        det = det_residue_maps(i_residue_maps(n))
-        assert det == det_ratfun(i_matrix(n))
-        assert det == h_product(n)
-
-
-def test_det_residue_maps_equals_double_sum_to_order_4():
-    for n in range(1, 5):
-        assert det_residue_maps(i_residue_maps(n)) == det_double_sum(i_matrix(n))
-
-
-def test_det_residue_maps_zero_for_singular():
-    d1 = {1: 1, -1: 1}
-    assert det_residue_maps([[d1, d1], [d1, d1]]).is_zero
-    assert det_residue_maps([[{}, d1], [{2: 0}, d1]]).is_zero
-
-
-def test_det_residue_maps_pivots_like_det_ratfun():
-    """A zero leading entry swaps rows and flips the sign."""
-    maps = [[{}, {1: 1}, {}], [{2: 3}, {3: 1}, {1: 2}], [{2: -6}, {3: -2, 1: 5}, {4: 1}]]
-    det = det_residue_maps(maps)
-    assert not det.is_zero
-    assert det == det_ratfun([[ratfun_from_poles(1, m) for m in row] for row in maps])
-
-
-def test_det_residue_maps_leaves_its_input_alone():
-    maps = i_residue_maps(5)
-    before = [[dict(m) for m in row] for row in maps]
-    det_residue_maps(maps)
-    assert maps == before
+def test_factorization_checks_pass_to_order_20():
+    for n in range(1, 21):
+        assert factorization_checks(c_matrix(n).rows, i_residue_maps(n)) == (
+            ("factorization", True, "I == C^T D C entry by entry, exact"),
+            ("unimodular C", True, "det C = 1, expected 1"),
+        )
 
 
 @pytest.mark.parametrize(
-    "below",
-    [{1: 1, 2: 1}, {1: 1, -1: 2}, {2: 1, -2: 1}],
-    ids=["extra pole", "unequal ratio", "other poles"],
+    "entry, change",
+    [((1, 1), {1: 2, -1: 2}), ((3, 1), {1: 2}), ((2, 4), {5: 1})],
+    ids=["scaled diagonal", "below the diagonal", "extra pole"],
 )
-def test_det_residue_maps_rejects_non_constant_multiplier(below):
-    with pytest.raises(NonConstantMultiplier):
-        det_residue_maps([[{1: 1, -1: 1}, {3: 1}], [below, {4: 1}]])
+def test_factorization_checks_name_the_first_wrong_entry(entry, change):
+    maps = i_residue_maps(4)
+    maps[entry[0] - 1][entry[1] - 1].update(change)
+    checks = factorization_checks(c_matrix(4).rows, maps)
+    assert checks[0] == ("factorization", False, f"I != C^T D C at (J, K) = {entry}")
+    assert checks[1][1] is True
 
 
-def _ldu_maps(lower, diag, upper):
-    """Residue maps of L D U for unitriangular L, U and diagonal D of maps."""
-    n = len(diag)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: dict = {}
-            for k in range(min(i, j) + 1):
-                w = (1 if k == i else lower[i][k]) * (1 if k == j else upper[k][j])
-                for p, r in diag[k].items():
-                    acc[p] = acc.get(p, 0) + w * r
-            row.append({p: r for p, r in acc.items() if r != 0})
-        out.append(row)
-    return out
-
-
-small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_det_residue_maps_on_ldu_products(data):
-    """L D U with pole-form D eliminates with constant multipliers, and the
-    pole-form determinant equals the gcd-reduced one."""
-    n = data.draw(st.integers(1, 3))
-    square = st.lists(st.lists(small_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
-    lower, upper = data.draw(square), data.draw(square)
-    diag = data.draw(
-        st.lists(
-            st.dictionaries(st.integers(-3, 3), small_rationals, max_size=3),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    maps = _ldu_maps(lower, diag, upper)
-    entries = [[ratfun_from_poles(1, m) for m in row] for row in maps]
-    assert det_residue_maps(maps) == det_ratfun(entries)
+def test_factorization_checks_see_an_off_parity_entry_of_c():
+    """C^T D C is built from every nonzero entry of C, not only from the
+    n == J (mod 2) ones that the true C has."""
+    rows = [list(r) for r in c_matrix(4).rows]
+    rows[0][1] = 1
+    checks = factorization_checks(rows, i_residue_maps(4))
+    assert [ok for _, ok, _ in checks] == [False, True]
 
 
 def test_det_double_sum_on_fractions():
@@ -584,7 +525,7 @@ def test_omega_psi_detects_a_wrong_entry(monkeypatch):
 
 def test_omega_psi_checks_both_triangles_of_the_moment_matrix(monkeypatch):
     """The factorization map is built once per pair J <= K; a wrong entry
-    below the diagonal alone, I[3][1], must still fail it."""
+    below the diagonal alone, I[3][1], must still fail it, and be named."""
     true_residues = spectral._entry_residues
 
     def tampered(j, k):
@@ -594,8 +535,8 @@ def test_omega_psi_checks_both_triangles_of_the_moment_matrix(monkeypatch):
         return res
 
     monkeypatch.setattr(spectral, "_entry_residues", tampered)
-    verdict = {name: ok for name, ok, _ in omega_psi_check(3).checks}
-    assert verdict["factorization"] is False
+    checks = {name: (ok, detail) for name, ok, detail in omega_psi_check(3).checks}
+    assert checks["factorization"] == (False, "I != C^T D C at (J, K) = (3, 1)")
 
 
 def test_omega_psi_fails_unimodularity_off_the_triangle(monkeypatch):
