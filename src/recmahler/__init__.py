@@ -58,6 +58,7 @@ from .spectral import (
     h_hat,
     h_product,
     h_values,
+    mellin_residue_miss,
     hJK_closed,
     hJK_quadrature,
     i_entry,
@@ -106,6 +107,7 @@ __all__ = [
     "h_hat",
     "h_product",
     "h_values",
+    "mellin_residue_miss",
     "hJK_closed",
     "hJK_quadrature",
     "i_entry",

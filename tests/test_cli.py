@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import recmahler
-from recmahler import cli, measure, spectral
+from recmahler import cli, exact, measure, spectral
 from recmahler.cli import N_CAPS, run
 from recmahler.errors import NoConvergence
 from recmahler.exact import parse_pi_scaled, ratfun_from_lists
@@ -175,6 +175,33 @@ def test_hn_builds_the_closed_form_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, list(argv))
     assert code == 0
     assert calls == [12]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_hn_names_the_pole_where_the_closed_form_is_wrong(capsys, monkeypatch):
+    """A wrong rho(N, 2) reaches h_closed but not h_hat's product: the Mellin
+    check fails at s = 2 and the report prints no Mellin image."""
+    rho = spectral.rho
+    monkeypatch.setattr(
+        spectral, "rho", lambda n_order, n: rho(n_order, n) * (F(2) if n == 2 else 1)
+    )
+    code, rep, _ = invoke_json(capsys, ["hn", "--N", "4"])
+    assert code == 1
+    assert rep["exact_results"]["mellin_transform"] is None
+    check = rep["checks"][0]
+    assert check["name"] == "mellin-consistency" and check["status"] == "fail"
+    assert check["detail"].endswith("at s = 2")
+
+
+def test_hn_never_expands_the_mellin_image(capsys, monkeypatch):
+    def boom(g):
+        raise AssertionError("hn called laurent_mellin")
+
+    monkeypatch.setattr(exact, "laurent_mellin", boom)
+    monkeypatch.setattr(cli, "laurent_mellin", boom, raising=False)
+    argv = ("hn", "--N", "12", "--xi", "1.5")
+    code, out, _ = invoke(capsys, list(argv))
+    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
 
 

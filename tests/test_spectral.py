@@ -21,6 +21,7 @@ from recmahler.exact import (
     LaurentPi,
     PiScaled,
     RatFunPi,
+    laurent_from_poles,
     laurent_mellin,
     partial_fractions,
     ratfun_eval_exact,
@@ -45,6 +46,7 @@ from recmahler.spectral import (
     i_entry,
     i_matrix,
     i_residue_maps,
+    mellin_residue_miss,
     omega_psi_check,
     rho,
     volume_exact,
@@ -337,6 +339,29 @@ def test_rho_matches_partial_fractions():
 def test_mellin_of_closed_form_is_h_hat_to_order_30():
     for n_order in range(1, 31):
         assert laurent_mellin(h_closed(n_order)) == h_hat(n_order)
+
+
+def test_mellin_residue_miss_agrees_with_partial_fractions():
+    """The cover-up residues are h_hat's: a Laurent polynomial built from
+    partial_fractions(h_hat(N)) passes, and changing any one residue, or
+    adding a pole, is caught at that pole."""
+    for n_order in range(1, 9):
+        res = {n: r.coeff for n, r in partial_fractions(h_hat(n_order)).items()}
+        assert mellin_residue_miss(laurent_from_poles(n_order, res), n_order) is None
+        for s in (*res, 0, n_order + 1, -n_order - 1):
+            bad = dict(res)
+            bad[s] = bad.get(s, 0) + 1
+            assert mellin_residue_miss(laurent_from_poles(n_order, bad), n_order) == s
+
+
+def test_mellin_residue_miss_agrees_with_laurent_mellin():
+    """Same verdict as expanding the Mellin image, also on a wrong order or
+    a wrong grade of pi."""
+    for n_order in range(1, 31):
+        h = h_closed(n_order)
+        for m, g in ((n_order, h), (n_order + 1, h), (n_order, h * PiScaled(F(1), 1))):
+            assert (mellin_residue_miss(g, m) is None) == (laurent_mellin(g) == h_hat(m))
+        assert mellin_residue_miss(h, n_order) is None
 
 
 def test_h_closed_frozen():
