@@ -11,6 +11,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -209,6 +210,32 @@ def test_hn_without_xi_omits_value(capsys):
     code, rep, _ = invoke_json(capsys, ["hn", "--N", "3"])
     assert code == 0
     assert "h_value" not in rep["numeric_results"]
+
+
+def _rounded_once(text: str) -> float:
+    """A 'p/q * pi^k' value at 60 digits, turned back into an exact binary
+    fraction that float() rounds once, subnormals included, then printed at
+    15 digits as the reports print it."""
+    c = parse_pi_scaled(text)
+    with mpmath.workdps(60):
+        sign, man, exp, _ = (c.coeff.numerator * mpmath.pi ** c.pi_power / c.coeff.denominator)._mpf_
+    return float(f"{float((-1) ** sign * Fraction(man) * Fraction(2) ** exp):.15g}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hn", "--N", n] for n in ("12", "153")]
+    + [["volume", "--N", n] for n in ("1", "2", "3", "91", "234", "500")],
+)
+def test_printed_floats_are_the_exact_values_rounded_once(capsys, argv):
+    """math.pi ** k * coeff rounded twice, and underflowed in float(coeff):
+    hn --N 153 printed 0.0 for 24 of its 306 coefficients."""
+    _, rep, _ = invoke_json(capsys, argv)
+    if argv[0] == "hn":
+        exact = rep["exact_results"]["h_coeffs"]
+        assert rep["numeric_results"]["coeffs"] == {e: _rounded_once(t) for e, t in exact.items()}
+    else:
+        assert rep["numeric_results"]["volume"] == _rounded_once(rep["exact_results"]["volume"])
 
 
 def test_volume_report(capsys):
@@ -424,7 +451,7 @@ def test_table_rejects_empty_or_endless_grids(capsys, bounds, message):
 # sha256 of the stdout of reports whose bytes are pinned: the exact layer
 # may change how it builds a value, never what the report prints
 GOLDEN = {
-    ("hn", "--N", "12", "--xi", "1.5"): "5ed42dcdfb14ba96680b1690dedc8ee22ad7006aac72e9cebf93f344c6f4301b",
+    ("hn", "--N", "12", "--xi", "1.5"): "1eb45a913859409d5ec3a9a4f65f97f0da3d32fc8bd2196753837fff7d22f0f2",
     ("volume", "--N", "12"): "9fd1ed785637efbe003b3f29c4576e2fd49d229d6a3f57fb18a5bf6eb94227f8",
     ("verify-det", "--N", "6"): "ca14c01c7bf537116e715f5d66cb4eeca3a0f63e0430fc9eee1598171730dc6f",
     ("verify-det", "--N", "12"): "a3bef7ef7cc1a6e509f4dedd3023d9694535c93c3a6d21952d8d4dad676f7eec",
@@ -435,9 +462,9 @@ GOLDEN = {
     ("verify-entries", "--J", "3", "--K", "5"): "84001ff5dcde81e979637a75b83ae1d52a60512074125300946f283012558499",
     ("table", "--N", "8"): "2f6a142dce81ec1ec9054d755ace81d6b8953b637eadd09afce40cdd64c4e0ac",
     ("jacobian-test", "--N", "3", "--points", "5", "--seed", "7"): "0f617633893970267ca1327a894f449272ccdeb453882afdebc1dfb830c18a3b",
-    ("mc", "--mode", "volume", "--N", "2", "--samples", "70000", "--seed", "3", "--workers", "2"): "1a11071ecf94b01fa09be3ab013026ff81f0a3f8d4ad34df40988a4c6462c462",
+    ("mc", "--mode", "volume", "--N", "2", "--samples", "70000", "--seed", "3", "--workers", "2"): "32efd2c1c1df99a84962d1ff45072e5c8ee49cc709a5b2e5d8789f062ac704eb",
     ("mc", "--mode", "hn", "--N", "2", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "3f0faa62f47a028e88785bbe93abac65829ed2d48432be500f84e1030fd44de4",
-    ("mc", "--mode", "volume", "--N", "1", "--samples", "70000", "--seed", "3", "--workers", "2"): "f4e0e64a6cc3ddbe4558e87d09090fa063dbdbd8c19d460efec8afa669771377",
+    ("mc", "--mode", "volume", "--N", "1", "--samples", "70000", "--seed", "3", "--workers", "2"): "a5f44e901a7f1c02dcf7d1d62980efaea772afdc87ce6e96dac255db86a05767",
     ("mc", "--mode", "hn", "--N", "1", "--xi", "1.5", "--samples", "70000", "--seed", "3"): "23852ab7c2cb534cf28446e6099f4b1b0138ba6e45094bc13663868dc76adefb",
     ("measure", "--coeffs", "[1,-2,3.5,0.25,2]"): "99b1a855a3184b63ca78661ccd5574a616fa051ff54be076c2258fb0c8a0fad6",
     ("measure", "--coeffs", "[[1,0.5],[0,-1],[2,0],[0.5,0.5],[-1,0],[3,1],[0.25,0],[1,-1],[0,2],[-0.5,0],[1.5,0],[0,0.75],[2,-1]]"): "037831f7eeaea709022bf0cb8b8e96941e36e162d2f0e029c0f28446788779e2",
@@ -709,9 +736,11 @@ def test_reports_are_byte_identical(capsys):
 
 
 def test_floats_are_printed_at_15_digits(capsys):
+    """2 pi^2 / 3 = 6.5797362673929057...: the exact value rounded once, not
+    2 / 3 * math.pi ** 2, which rounds to 6.5797362673929 at 15 digits."""
     _, rep, _ = invoke_json(capsys, ["volume", "--N", "1"])
     val = rep["numeric_results"]["volume"]
-    assert val == float(f"{2 / 3 * math.pi ** 2:.15g}")
+    assert val == 6.57973626739291
 
 
 def test_importing_the_package_leaves_mpmath_unloaded():
