@@ -152,8 +152,6 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_hn(args) -> int:
-    """h_hat(N) is built once, from its product, and proved to be the Mellin
-    image of h_N by its residues; the report carries it once that holds."""
     n = args.N
     h = h_closed(n)
     miss = mellin_residue_miss(h, n)
@@ -379,7 +377,8 @@ class _Usage(Exception):
 
 # Largest order N each subcommand accepts, so that every accepted N
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
-# its default grid, 0.5 s at N = 200); volume's value overflows from N = 618.
+# its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.8 s at N = 500
+# and 1.1 s at N = 550); volume's value overflows from N = 618.
 # mc stops at N = 8: the box sampler scores no hit from N = 3 (at N = 3
 # the star body fills about 3e-8 of its box), so a higher order would only
 # add runs that cannot resolve.
@@ -387,7 +386,7 @@ class _Usage(Exception):
 # determinant to its 1e-5 tolerance: every seed from 0 to 99 passes at
 # N = 7, and 6 of them fail at N = 8.
 N_CAPS = {
-    "hn": 200,
+    "hn": 500,
     "volume": 500,
     "verify-det": 100,
     "rank-one": 64,

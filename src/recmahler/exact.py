@@ -7,9 +7,8 @@ pi is never evaluated here; it rides along as an integer grade on otherwise
 rational data.  Sums therefore only make sense between values of the same
 grade (or with an exact zero), and mismatches raise GradeMismatch rather
 than silently coercing.  Numeric values enter only through the explicit
-evaluation helpers (PiScaled.to_float, ratfun_eval, LaurentPi.eval), which
-share one rule: the exact value, with pi as a rational within 2^-126 of it,
-rounded once to a double.
+evaluation helpers, which all round the exact value, with pi as a rational
+within 2^-126 of it, once to a double (_round_pi).
 
 The Mellin convention used throughout maps a Laurent monomial with even
 exponent e to the simple fraction (1/2) / (s - e/2):
@@ -47,11 +46,9 @@ Rational = Fraction
 _PI_128 = Fraction(0xC90FDAA22168C234C4C6628B80DC1CD1, 1 << 126)
 
 
-@functools.lru_cache(maxsize=16)
-def _pi_num_power(k: int) -> int:
-    """pi_num^k, shared by the 2N coefficients of one grade: at N = 400 the
-    power was 73% of rounding them."""
-    return _PI_128.numerator ** k
+# pi_num^k, built once for the 2N coefficients of one grade: at N = 400 it
+# was 73% of the time to round them
+_pi_num_power = functools.lru_cache(maxsize=16)(_PI_128.numerator.__pow__)
 
 
 def _round_pi(num: int, den: int, pi_power: int, shift: int = 0) -> float:
@@ -556,25 +553,6 @@ class LaurentPi:
     def zero() -> "LaurentPi":
         return LaurentPi(0, {})
 
-    @staticmethod
-    def from_terms(terms: Mapping[int, PiScaled]) -> "LaurentPi":
-        """Build from per-term PiScaled coefficients; grades must agree."""
-        grade = None
-        coeffs: dict[int, Fraction] = {}
-        for e, t in terms.items():
-            if t.is_zero:
-                continue
-            if grade is None:
-                grade = t.pi_power
-            elif t.pi_power != grade:
-                raise GradeMismatch(
-                    f"mixed grades pi^{grade} and pi^{t.pi_power} in one polynomial"
-                )
-            coeffs[e] = t.coeff
-        if grade is None:
-            return LaurentPi.zero()
-        return LaurentPi(grade, coeffs)
-
     @property
     def terms(self) -> dict[int, PiScaled]:
         return {e: PiScaled(c, self.pi_power) for e, c in self.coeffs.items()}
@@ -746,27 +724,6 @@ def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
     return out
 
 
-def _pole_form(poles: Mapping[int, Fraction]) -> tuple[list[int], int, list[int]]:
-    """Integers (num, common, den) with sum_n r_n / (s - n) equal to
-    num / (common * den), for a nonempty map of nonzero residues.
-
-    den is prod (s - n) over the poles, common the lcm of the residues'
-    denominators, and num = sum_n common r_n prod_{m != n} (s - m).
-    """
-    den = int_poly_from_roots(poles)
-    common = math.lcm(*(r.denominator for r in poles.values()))
-    num = [0] * (len(den) - 1)
-    for n, r in poles.items():
-        scale = r.numerator * (common // r.denominator)
-        for i, c in enumerate(_deflate(den, n)):
-            num[i] += scale * c
-    return num, common, den
-
-
-def _nonzero_residues(residues: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    return {n: _as_fraction(r) for n, r in residues.items() if r != 0}
-
-
 def _ratfun_from_ints(pi_power: int, num: list[int], common: int, den: list[int]) -> RatFunPi:
     return RatFunPi(
         pi_power,
@@ -787,10 +744,17 @@ def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFun
     and the denominator is monic, so this is the form RatFunQ.make would
     reach through gcds.  Zero residues are dropped.
     """
-    poles = _nonzero_residues(residues)
+    poles = {n: _as_fraction(r) for n, r in residues.items() if r != 0}
     if not poles:
         return RatFunPi.zero()
-    return _ratfun_from_ints(pi_power, *_pole_form(poles))
+    den = int_poly_from_roots(poles)
+    common = math.lcm(*(r.denominator for r in poles.values()))
+    num = [0] * (len(den) - 1)
+    for n, r in poles.items():
+        scale = r.numerator * (common // r.denominator)
+        for i, c in enumerate(_deflate(den, n)):
+            num[i] += scale * c
+    return _ratfun_from_ints(pi_power, num, common, den)
 
 
 def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:

@@ -37,10 +37,8 @@ The central objects, all exact:
   which vanishes at xi = 1 and transforms back to hhat_N term by term
   (the xi^{+2n} term owns the pole at s = +n under this package's Mellin
   convention; swapping the pair is detectable for odd N and breaks the
-  transform identity).  mellin_residue_miss proves that identity, as `hn`
-  reports it, without expanding either side: it holds h_N's coefficients
-  against h_hat's residues, taken by cover-up from its product's factors,
-  not from rho.
+  transform identity).  hn proves that identity by mellin_residue_miss,
+  residue by residue, with h_hat's taken from its factors, not from rho.
 
 * volume_exact(N) = 2*pi*hhat_N(N+1) = 2^N pi^{N+1} (N+1)^N / (2N+1)!:
   the volume of the star body {mu_rec <= 1} in C^{N+1}.
@@ -423,16 +421,11 @@ def h_closed(n_order: int) -> LaurentPi:
 
 def mellin_residue_miss(h: LaurentPi, n_order: int) -> int | None:
     """First pole s where the Mellin image of h differs from h_hat(N), or
-    None when the two are equal.
-
-    Both are proper with simple poles, so equal residues mean equal
-    functions.  h's residue at s = e/2 is half its xi^e coefficient (the
-    laurent_mellin term rule), at h's own grade; h_hat's comes from its
-    factors by cover-up, pi^N (2n)^(N-1) / (2n prod_{m != n} (n^2 - m^2))
-    at s = n and (-1)^N times that at s = -n, and is zero elsewhere.  Poles
-    are visited as 1, -1, 2, -2, ..., N, -N; a pole of h outside these
-    comes last, the least first.
-    """
+    None.  Both are proper with simple poles, so equal residues mean equal
+    functions.  h's residue at s = e/2 is half its xi^e coefficient, at h's
+    grade; h_hat's comes by cover-up from its factors, pi^N (2n)^(N-1) /
+    (2n prod_{m != n} (n^2 - m^2)) at s = n, (-1)^N times that at s = -n.
+    Poles go 1, -1, ..., N, -N, then the least other pole of h."""
     res = {e // 2: t / 2 for e, t in h.terms.items()}
     for n in range(1, n_order + 1):
         others = math.prod(n * n - m * m for m in range(1, n_order + 1) if m != n)

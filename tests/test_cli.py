@@ -487,7 +487,7 @@ NODE_ON_ZERO = "[[-0.9807852804032304, -0.19509032201612825], [1, 0]]"
 ERROR_DIGESTS = {
     ("measure", "--coeffs", "not json"): (2, "2cab9e8f60323543ec735ac7935a5c2fb75d8d50cb04ee78e841224b53a67c83"),
     ("measure", "--coeffs", "[0, 0]"): (2, "40e3c057f770c1b426e2918fa6fc4d5a0671be9e7aebf855f8c25ff6d59e5ff0"),
-    ("hn", "--N", "201"): (2, "42490635f15c992d419e2f41199b9de7848008eac407080f67f68db08f943aee"),
+    ("hn", "--N", "501"): (2, "7b41d46f7d05aed23964fb73af137e5d72ee351695bb581921d046eed5bd00c6"),
     ("volume", "--N", "501"): (2, "0a1fb7164be8b9017718cb426fd87ed655d8749e876008229b5fc0fa9ff2aa2c"),
     ("verify-det", "--N", "101"): (2, "085aef5f27400080df5dd93f63b6985a3da8c283d3edbcaa0a00d9a5e4265f57"),
     ("rank-one", "--N", "65"): (2, "d2feb13bdab2002a891f70ea4b1562ebded33b3b2ba7ef661b069b93071a43c8"),
@@ -559,7 +559,7 @@ def test_entry_index_at_the_cap_passes(capsys):
         assert math.isfinite(row["closed"]) and math.isfinite(row["quadrature"])
 
 
-@pytest.mark.parametrize("command", ["volume", "verify-det", "rank-one"])
+@pytest.mark.parametrize("command", ["hn", "volume", "verify-det", "rank-one"])
 def test_order_at_the_cap_passes(capsys, command):
     """volume's float value overflowed above N = 617 before the cap."""
     code, rep, _ = invoke_json(capsys, [command, "--N", str(N_CAPS[command])])

@@ -379,13 +379,6 @@ def test_laurent_drops_zero_terms_and_canonicalizes():
     assert LaurentPi(2, {2: F(0)}) == LaurentPi.zero()
 
 
-def test_laurent_from_terms_grade_mismatch():
-    with pytest.raises(GradeMismatch):
-        LaurentPi.from_terms({2: PiScaled(F(1), 1), 4: PiScaled(F(1), 2)})
-    g = LaurentPi.from_terms({2: PiScaled(F(1), 1), 4: PiScaled(F(0), 9)})
-    assert g == LaurentPi(1, {2: F(1)})
-
-
 def test_laurent_value_at_one_and_eval_anchor():
     g = LaurentPi(1, {2: F(1), -2: F(-1)})
     assert g.value_at_one() == PiScaled(F(0))
