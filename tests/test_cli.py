@@ -232,8 +232,8 @@ def test_printed_floats_are_the_exact_values_rounded_once(capsys, argv):
     hn --N 153 printed 0.0 for 24 of its 306 coefficients."""
     _, rep, _ = invoke_json(capsys, argv)
     if argv[0] == "hn":
-        exact = rep["exact_results"]["h_coeffs"]
-        assert rep["numeric_results"]["coeffs"] == {e: _rounded_once(t) for e, t in exact.items()}
+        terms = rep["exact_results"]["h_coeffs"]
+        assert rep["numeric_results"]["coeffs"] == {e: _rounded_once(t) for e, t in terms.items()}
     else:
         assert rep["numeric_results"]["volume"] == _rounded_once(rep["exact_results"]["volume"])
 
