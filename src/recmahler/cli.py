@@ -204,7 +204,7 @@ def _cmd_verify_det(args) -> int:
     n = args.N
     failed = [
         f"{name}: {detail}"
-        for name, ok, detail in factorization_checks(c_matrix(n).rows, i_residue_maps(n))
+        for name, ok, detail in factorization_checks(c_matrix(n), i_residue_maps(n))
         if not ok
     ]
     prod = ratfun_to_lists(h_product(n))
@@ -263,6 +263,8 @@ def _cmd_rank_one(args) -> int:
 
 
 def _cmd_jacobian_test(args) -> int:
+    if args.N < 1:
+        raise ValueError(f"--N must be at least 1, got {args.N}")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.step is not None and not 0 < args.step < math.inf:

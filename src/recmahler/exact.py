@@ -260,9 +260,6 @@ class PolyQ:
             tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
         )
 
-    def derivative(self) -> "PolyQ":
-        return PolyQ(tuple(c * i for i, c in enumerate(self.coeffs) if i > 0))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

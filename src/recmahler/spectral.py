@@ -102,57 +102,11 @@ def d_term(n: int) -> RatFunPi:
     return ratfun_from_poles(1, _d_residues(n))
 
 
-@dataclass(frozen=True)
-class CMatrix:
-    """Integer matrix rows[n-1][J-1] = c_n(J); unitriangular by parity."""
-
-    size: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def validate(self) -> None:
-        for n in range(1, self.size + 1):
-            for j in range(1, self.size + 1):
-                v = self.rows[n - 1][j - 1]
-                if n > j and v != 0:
-                    raise ValueError(f"nonzero below the diagonal at ({n}, {j})")
-                if (j - n) % 2 and v != 0:
-                    raise ValueError(f"nonzero off-parity entry at ({n}, {j})")
-                if n == j and v != 1:
-                    raise ValueError(f"diagonal entry at ({n}, {n}) is {v}")
-
-
-@dataclass(frozen=True)
-class IMatrix:
-    """Moment matrix entries[J-1][K-1] = i_entry(J, K)."""
-
-    size: int
-    entries: tuple[tuple[RatFunPi, ...], ...]
-
-    def validate(self) -> None:
-        for a in range(self.size):
-            for b in range(self.size):
-                e = self.entries[a][b]
-                if e != self.entries[b][a]:
-                    raise ValueError(f"asymmetric at ({a + 1}, {b + 1})")
-                if (a - b) % 2:
-                    if not e.is_zero:
-                        raise ValueError(f"nonzero off-parity at ({a + 1}, {b + 1})")
-                    continue
-                if e.is_zero or e.pi_power != 1:
-                    raise ValueError(f"bad grade at ({a + 1}, {b + 1})")
-                if e.fun.num.coeffs[0] != 0:
-                    raise ValueError(f"entry ({a + 1}, {b + 1}) nonzero at s = 0")
-                if not e.is_odd():
-                    raise ValueError(f"entry ({a + 1}, {b + 1}) is not odd in s")
-
-
-def c_matrix(n_order: int) -> CMatrix:
-    return CMatrix(
-        n_order,
-        tuple(
-            tuple(coeff_c(n, j) for j in range(1, n_order + 1))
-            for n in range(1, n_order + 1)
-        ),
+def c_matrix(n_order: int) -> tuple[tuple[int, ...], ...]:
+    """C's rows, c_matrix(N)[n-1][J-1] = c_n(J); upper unitriangular."""
+    return tuple(
+        tuple(coeff_c(n, j) for j in range(1, n_order + 1))
+        for n in range(1, n_order + 1)
     )
 
 
@@ -187,12 +141,12 @@ def i_residue_maps(n_order: int) -> list[list[dict[int, int]]]:
     ]
 
 
-def i_matrix(n_order: int) -> IMatrix:
-    ent = tuple(
+def i_matrix(n_order: int) -> tuple[tuple[RatFunPi, ...], ...]:
+    """The moment matrix, i_matrix(N)[J-1][K-1] = i_entry(J, K)."""
+    return tuple(
         tuple(ratfun_from_poles(1, res) for res in row)
         for row in i_residue_maps(n_order)
     )
-    return IMatrix(n_order, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +193,7 @@ def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
 
 
 def _as_entry_rows(matrix) -> list[list]:
-    if isinstance(matrix, IMatrix):
-        rows = [list(r) for r in matrix.entries]
-    else:
-        rows = [list(r) for r in matrix]
+    rows = [list(r) for r in matrix]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("expected a nonempty square matrix")
@@ -509,7 +460,7 @@ def omega_psi_check(n_order: int) -> RankOneReport:
     if n_order < 2:
         raise IndexOutOfRange("rank-one check needs order >= 2")
     big_n = n_order
-    c = c_matrix(big_n).rows
+    c = c_matrix(big_n)
     psi = [0] * (big_n - 1) + [1]
     for k in range(big_n - 2, -1, -1):
         psi[k] = -sum(c[k][j] * psi[j] for j in range(k + 1, big_n))

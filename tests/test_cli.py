@@ -506,6 +506,8 @@ ERROR_DIGESTS = {
     ("measure", "--coeffs", "[1, 2]", "--tol", "-1"): (2, "98261cbc5b7c8bfccf4aef92a3bf51c58142a4049028821d4d5d15dd863bcc0d"),
     ("jacobian-test", "--N", "2", "--step", "0"): (2, "27f2273f1d52edf63cd6e7d41bce6ec9403a90741d962e6688deb673dfd82f9b"),
     ("jacobian-test", "--points", "0"): (2, "ae51eb34ace06da703b8750ff646ae4961aed637e6b14c60b4ccd963b7e99222"),
+    ("jacobian-test", "--N", "-1"): (2, "16b5d634311ef1257c9e0a2eb8b419f8d29d849f01a3b0b9e43035405f97bb84"),
+    ("jacobian-test", "--N", "0"): (2, "23b67e40120f3afcc9c835532c48a153f3668be25c35ff7c9ea2c1ad320b3305"),
     ("mc", "--mode", "hn", "--N", "1"): (2, "febdeffa2c44eacb850c57fc3e7d2b751c6662f8670958464df07e8626ca62b9"),
     ("mc", "--mode", "volume", "--N", "2", "--xi", "1.5"): (2, "af0e715437d475552fb9f9c98b7ed0da8aa0ea395e27682c809ecf53f41270d6"),
     ("frobnicate",): (2, "8b29fc449b921f6e62a83c71a811401eafa68cdf075a03085b40648ebca5e6a7"),

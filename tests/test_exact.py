@@ -144,10 +144,9 @@ def test_polyq_divmod_property_seeded():
         assert r.is_zero or r.degree < b.degree
 
 
-def test_polyq_subs_neg_and_derivative():
+def test_polyq_subs_neg_and_eval():
     p = PolyQ((F(1), F(2), F(3), F(4)))
     assert p.subs_neg() == PolyQ((F(1), F(-2), F(3), F(-4)))
-    assert p.derivative() == PolyQ((F(2), F(6), F(12)))
     assert p(F(2)) == 1 + 4 + 12 + 32
 
 

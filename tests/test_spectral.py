@@ -28,7 +28,6 @@ from recmahler.exact import (
     ratfun_from_poles,
 )
 from recmahler.spectral import (
-    CMatrix,
     RankOneReport,
     c_matrix,
     coeff_c,
@@ -89,17 +88,31 @@ def test_d_term_frozen_and_range():
 
 
 def test_c_matrix_validates():
+    """C's rows as plain tuples: upper unitriangular, zero off parity."""
     for n in range(1, 9):
-        c_matrix(n).validate()
+        c = c_matrix(n)
+        assert type(c) is tuple and len(c) == n
+        assert all(type(row) is tuple and len(row) == n for row in c)
+        assert all(c[a][a] == 1 for a in range(n))
+        assert not any(c[a][b] for a in range(n) for b in range(n) if a > b or (a - b) % 2)
 
 
 def test_c_matrix_rejects_tampering():
-    with pytest.raises(ValueError):
-        CMatrix(2, ((1, 0), (1, 1))).validate()  # below-diagonal entry
-    with pytest.raises(ValueError):
-        CMatrix(2, ((1, 1), (0, 1))).validate()  # off-parity entry
-    with pytest.raises(ValueError):
-        CMatrix(2, ((2, 0), (0, 1))).validate()  # non-unit diagonal
+    """factorization_checks fails each C that breaks C's structure, and
+    names what broke."""
+    maps = i_residue_maps(2)
+    assert factorization_checks(((1, 0), (1, 1)), maps) == (  # below the diagonal
+        ("factorization", False, "I != C^T D C at (J, K) = (1, 1)"),
+        ("unimodular C", False, "C is not upper triangular"),
+    )
+    assert factorization_checks(((1, 1), (0, 1)), maps) == (  # off parity
+        ("factorization", False, "I != C^T D C at (J, K) = (1, 2)"),
+        ("unimodular C", True, "det C = 1, expected 1"),
+    )
+    assert factorization_checks(((2, 0), (0, 1)), maps) == (  # non-unit diagonal
+        ("factorization", False, "I != C^T D C at (J, K) = (1, 1)"),
+        ("unimodular C", False, "det C = 2, expected 1"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +138,21 @@ def test_i_entry_range_errors():
 
 
 def test_i_matrix_validates():
+    """Every entry is symmetric and zero off parity; on parity it has grade
+    pi^1, vanishes at s = 0 and is odd in s."""
     for n in range(1, 7):
-        i_matrix(n).validate()
+        im = i_matrix(n)
+        assert type(im) is tuple and all(type(row) is tuple for row in im)
+        for a in range(n):
+            for b in range(n):
+                e = im[a][b]
+                assert e == im[b][a]
+                if (a - b) % 2:
+                    assert e.is_zero
+                    continue
+                assert not e.is_zero and e.pi_power == 1
+                assert e.fun.num.coeffs[0] == 0
+                assert e.is_odd()
 
 
 def test_entry_mellin_link():
@@ -241,16 +267,16 @@ def test_det_ratfun_zero_for_singular():
 def test_i_residue_maps_build_i_matrix():
     for n in range(1, 7):
         maps = i_residue_maps(n)
-        assert [[ratfun_from_poles(1, m) for m in row] for row in maps] == [
-            list(row) for row in i_matrix(n).entries
-        ]
+        assert tuple(
+            tuple(ratfun_from_poles(1, m) for m in row) for row in maps
+        ) == i_matrix(n)
     with pytest.raises(IndexOutOfRange):
         i_residue_maps(0)
 
 
 def test_factorization_checks_pass_to_order_20():
     for n in range(1, 21):
-        assert factorization_checks(c_matrix(n).rows, i_residue_maps(n)) == (
+        assert factorization_checks(c_matrix(n), i_residue_maps(n)) == (
             ("factorization", True, "I == C^T D C entry by entry, exact"),
             ("unimodular C", True, "det C = 1, expected 1"),
         )
@@ -264,7 +290,7 @@ def test_factorization_checks_pass_to_order_20():
 def test_factorization_checks_name_the_first_wrong_entry(entry, change):
     maps = i_residue_maps(4)
     maps[entry[0] - 1][entry[1] - 1].update(change)
-    checks = factorization_checks(c_matrix(4).rows, maps)
+    checks = factorization_checks(c_matrix(4), maps)
     assert checks[0] == ("factorization", False, f"I != C^T D C at (J, K) = {entry}")
     assert checks[1][1] is True
 
@@ -272,7 +298,7 @@ def test_factorization_checks_name_the_first_wrong_entry(entry, change):
 def test_factorization_checks_see_an_off_parity_entry_of_c():
     """C^T D C is built from every nonzero entry of C, not only from the
     n == J (mod 2) ones that the true C has."""
-    rows = [list(r) for r in c_matrix(4).rows]
+    rows = [list(r) for r in c_matrix(4)]
     rows[0][1] = 1
     checks = factorization_checks(rows, i_residue_maps(4))
     assert [ok for _, ok, _ in checks] == [False, True]
@@ -517,15 +543,15 @@ def test_rank_one_identity_by_rational_functions():
         for j in range(n):
             lhs = RatFunPi.zero()
             for k in range(n):
-                lhs = lhs + im.entries[j][k] * psi[k]
+                lhs = lhs + im[j][k] * psi[k]
             assert lhs == d_term(n) * (dot * coeff_c(n, j + 1))
             for k in range(n):
                 acc = RatFunPi.zero()
                 for m in range(n):
-                    w = cm.rows[m][j] * cm.rows[m][k]
+                    w = cm[m][j] * cm[m][k]
                     if w:
                         acc = acc + d_term(m + 1) * F(w)
-                assert acc == im.entries[j][k]
+                assert acc == im[j][k]
 
 
 def test_omega_psi_detects_a_wrong_entry(monkeypatch):
