@@ -3,9 +3,9 @@ complex reciprocal polynomials.
 
 The public surface, by layer:
 
-* exact: PiScaled, PolyQ, RatFunQ, RatFunPi, LaurentPi, partial_fractions,
+* exact: PiScaled, PolyQ, RatFunPi, LaurentPi, partial_fractions,
   laurent_mellin, ratfun_from_poles -- exact arithmetic with a symbolic pi
-  grade;
+  grade, one type per concept (RatFunPi is the one rational function type);
 * polynomials: RecipLaurent, MonicRecip, RootVec and the coefficient maps;
 * measure: find_roots, mahler_from_roots, mahler_quadrature, mu_rec, nu_rec;
 * symfun: elem_sym, epsilon_via_e, vandermonde, jacobian determinants;
@@ -20,7 +20,6 @@ from .exact import (
     PiScaled,
     PolyQ,
     RatFunPi,
-    RatFunQ,
     Rational,
     laurent_mellin,
     parse_pi_scaled,
@@ -86,7 +85,6 @@ __all__ = [
     "PiScaled",
     "PolyQ",
     "RatFunPi",
-    "RatFunQ",
     "Rational",
     "RecipLaurent",
     "RootSet",

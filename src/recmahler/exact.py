@@ -1,7 +1,8 @@
-"""Exact arithmetic tower: rationals graded by powers of pi, univariate
-polynomials and rational functions over Q, even-exponent Laurent polynomials,
-partial fractions over distinct integer poles, and the Laurent-to-Mellin
-term table.
+"""Exact arithmetic tower, one type per concept: rationals graded by powers
+of pi (PiScaled), univariate polynomials over Q (PolyQ), reduced rational
+functions over Q with one pi grade (RatFunPi), even-exponent Laurent
+polynomials with one pi grade (LaurentPi), partial fractions over distinct
+integer poles, and the Laurent-to-Mellin term table.
 
 pi is never evaluated here; it rides along as an integer grade on otherwise
 rational data.  Sums therefore only make sense between values of the same
@@ -27,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     DivisionByZero,
@@ -260,21 +261,6 @@ class PolyQ:
             tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
         )
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*s")
-            else:
-                parts.append(f"{c}*s^{i}")
-        return " + ".join(parts)
-
 
 def _int_scaled(p: PolyQ) -> list[int]:
     """Clear denominators: integer coefficient list, same roots."""
@@ -334,127 +320,49 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
 
 
 @dataclass(frozen=True, slots=True)
-class RatFunQ:
-    """Reduced rational function over Q with monic denominator.
+class RatFunPi:
+    """pi^pi_power * num / den, a rational function over Q with one pi grade.
 
+    The grade is a single integer for the whole function, so sums of
+    mismatched grades are rejected; this is all the downstream algebra
+    (entry sums, determinants, Mellin images) ever needs.  num / den is
+    reduced and den is monic; zero is num = 0, den = 1 at grade 0.
     Construct through make(); the bare constructor trusts its inputs.
-    Zero is num = 0, den = 1.
     """
 
+    pi_power: int
     num: PolyQ
     den: PolyQ
 
     @staticmethod
-    def make(num: PolyQ, den: PolyQ) -> "RatFunQ":
+    def make(pi_power: int, num: PolyQ, den: PolyQ) -> "RatFunPi":
+        """The reduced form: gcd cancelled, den monic, zero at grade 0."""
         if den.is_zero:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero:
-            return RatFunQ(PolyQ(), PolyQ((Fraction(1),)))
+            return RatFunPi.zero()
         g = poly_gcd(num, den)
         if g.degree > 0:
             num, _ = num.divmod(g)
             den, _ = den.divmod(g)
         inv = 1 / den.leading
-        return RatFunQ(num * inv, den * inv)
+        return RatFunPi(pi_power, num * inv, den * inv)
 
     @staticmethod
-    def from_coeffs(num: Iterable, den: Iterable) -> "RatFunQ":
-        return RatFunQ.make(PolyQ(tuple(num)), PolyQ(tuple(den)))
+    def from_coeffs(pi_power: int, num: Iterable, den: Iterable) -> "RatFunPi":
+        return RatFunPi.make(pi_power, PolyQ(tuple(num)), PolyQ(tuple(den)))
 
     @staticmethod
-    def zero() -> "RatFunQ":
-        return RatFunQ(PolyQ(), PolyQ((Fraction(1),)))
+    def zero() -> "RatFunPi":
+        return RatFunPi(0, PolyQ(), PolyQ((1,)))
 
     @staticmethod
-    def one() -> "RatFunQ":
-        return RatFunQ(PolyQ((Fraction(1),)), PolyQ((Fraction(1),)))
+    def one() -> "RatFunPi":
+        return RatFunPi(0, PolyQ((1,)), PolyQ((1,)))
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def __add__(self, other: "RatFunQ") -> "RatFunQ":
-        if not isinstance(other, RatFunQ):
-            return NotImplemented
-        return RatFunQ.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RatFunQ") -> "RatFunQ":
-        return self + (-other)
-
-    def __neg__(self) -> "RatFunQ":
-        return RatFunQ(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, RatFunQ):
-            return RatFunQ.make(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            return RatFunQ.make(self.num * other, self.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFunQ") -> "RatFunQ":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunQ.from_coeffs((other,), (1,))
-        if not isinstance(other, RatFunQ):
-            return NotImplemented
-        if other.is_zero:
-            raise DivisionByZero("division by the zero rational function")
-        return RatFunQ.make(self.num * other.den, self.den * other.num)
-
-    def eval(self, s0) -> Fraction:
-        """Exact evaluation at a rational point.
-
-        Raises PoleEvaluation on zeros of the reduced denominator.
-        """
-        s0 = _as_fraction(s0)
-        d = self.den(s0)
-        if d == 0:
-            raise PoleEvaluation(f"denominator vanishes at s = {s0}")
-        return self.num(s0) / d
-
-    def subs_neg(self) -> "RatFunQ":
-        return RatFunQ.make(self.num.subs_neg(), self.den.subs_neg())
-
-    def __str__(self) -> str:
-        if self.den.degree == 0:
-            return f"({self.num})"
-        return f"({self.num}) / ({self.den})"
-
-
-@dataclass(frozen=True, slots=True)
-class RatFunPi:
-    """Rational function over Q times an integer power of pi.
-
-    The grade is a single integer for the whole function, so sums of
-    mismatched grades are rejected; this is all the downstream algebra
-    (entry sums, determinants, Mellin images) ever needs.
-    """
-
-    pi_power: int
-    fun: RatFunQ
-
-    def __post_init__(self):
-        if self.fun.is_zero:
-            object.__setattr__(self, "pi_power", 0)
-
-    @staticmethod
-    def zero() -> "RatFunPi":
-        return RatFunPi(0, RatFunQ.zero())
-
-    @staticmethod
-    def one() -> "RatFunPi":
-        return RatFunPi(0, RatFunQ.one())
-
-    @staticmethod
-    def from_coeffs(pi_power: int, num: Iterable, den: Iterable) -> "RatFunPi":
-        return RatFunPi(pi_power, RatFunQ.from_coeffs(num, den))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.fun.is_zero
 
     def __add__(self, other: "RatFunPi") -> "RatFunPi":
         if not isinstance(other, RatFunPi):
@@ -467,7 +375,9 @@ class RatFunPi:
             raise GradeMismatch(
                 f"cannot add pi^{self.pi_power} and pi^{other.pi_power} functions"
             )
-        return RatFunPi(self.pi_power, self.fun + other.fun)
+        return RatFunPi.make(
+            self.pi_power, self.num * other.den + other.num * self.den, self.den * other.den
+        )
 
     def __sub__(self, other: "RatFunPi") -> "RatFunPi":
         if not isinstance(other, RatFunPi):
@@ -475,15 +385,18 @@ class RatFunPi:
         return self + (-other)
 
     def __neg__(self) -> "RatFunPi":
-        return RatFunPi(self.pi_power, -self.fun)
+        return RatFunPi(self.pi_power, -self.num, self.den)
 
     def __mul__(self, other):
         if isinstance(other, RatFunPi):
-            return RatFunPi(self.pi_power + other.pi_power, self.fun * other.fun)
-        if isinstance(other, PiScaled):
-            return RatFunPi(self.pi_power + other.pi_power, self.fun * other.coeff)
+            return RatFunPi.make(
+                self.pi_power + other.pi_power, self.num * other.num, self.den * other.den
+            )
         if isinstance(other, (int, Fraction)):
-            return RatFunPi(self.pi_power, self.fun * other)
+            # a nonzero scalar keeps num / den reduced and den monic
+            if other == 0:
+                return RatFunPi.zero()
+            return RatFunPi(self.pi_power, self.num * other, self.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -492,19 +405,18 @@ class RatFunPi:
         if isinstance(other, RatFunPi):
             if other.is_zero:
                 raise DivisionByZero("division by the zero rational function")
-            return RatFunPi(self.pi_power - other.pi_power, self.fun / other.fun)
+            return RatFunPi.make(
+                self.pi_power - other.pi_power, self.num * other.den, self.den * other.num
+            )
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by exact zero")
-            return RatFunPi(self.pi_power, self.fun / other)
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def is_odd(self) -> bool:
-        """True when f(-s) == -f(s) exactly."""
-        return self.fun.subs_neg() == -self.fun
-
-    def __str__(self) -> str:
-        return f"pi^{self.pi_power} * {self.fun}"
+        """True when f(-s) == -f(s) exactly: num(-s) den(s) == -num(s) den(-s)."""
+        return self.num.subs_neg() * self.den == -(self.num * self.den.subs_neg())
 
 
 def ratfun_eval(f: RatFunPi, s0) -> float:
@@ -513,8 +425,15 @@ def ratfun_eval(f: RatFunPi, s0) -> float:
 
 
 def ratfun_eval_exact(f: RatFunPi, s0) -> PiScaled:
-    """Exact value of f at rational s0, keeping the pi grade symbolic."""
-    return PiScaled(f.fun.eval(s0), f.pi_power)
+    """Exact value of f at rational s0, keeping the pi grade symbolic.
+
+    Raises PoleEvaluation on zeros of the reduced denominator.
+    """
+    s0 = _as_fraction(s0)
+    d = f.den(s0)
+    if d == 0:
+        raise PoleEvaluation(f"denominator vanishes at s = {s0}")
+    return PiScaled(f.num(s0) / d, f.pi_power)
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +641,12 @@ def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
 
 
 def _ratfun_from_ints(pi_power: int, num: list[int], common: int, den: list[int]) -> RatFunPi:
+    """pi^pi_power * (num / common) / den by the bare constructor: the caller
+    vouches that the two are coprime and den is monic."""
     return RatFunPi(
         pi_power,
-        RatFunQ(
-            PolyQ(tuple(Fraction(c, common) for c in num)),
-            PolyQ(tuple(Fraction(c) for c in den)),
-        ),
+        PolyQ(tuple(Fraction(c, common) for c in num)),
+        PolyQ(tuple(Fraction(c) for c in den)),
     )
 
 
@@ -738,7 +657,7 @@ def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFun
     in integers; the numerator is sum_n r_n prod_{m != n} (s - m) over a
     common denominator of the residues.  Distinct simple poles with nonzero
     residues leave the two coprime (the numerator at n is r_n prod (n - m)),
-    and the denominator is monic, so this is the form RatFunQ.make would
+    and the denominator is monic, so this is the form RatFunPi.make would
     reach through gcds.  Zero residues are dropped.
     """
     poles = {n: _as_fraction(r) for n, r in residues.items() if r != 0}
@@ -761,7 +680,7 @@ def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:
     Residues come from the cover-up rule: res at n is num(n) divided by the
     product of (n - m) over the other poles m.  Everything stays exact.
     """
-    num, den = f.fun.num, f.fun.den
+    num, den = f.num, f.den
     if num.is_zero:
         return {}
     if num.degree >= den.degree:
@@ -815,8 +734,8 @@ def ratfun_to_lists(f: RatFunPi) -> dict:
     """JSON-friendly form: pi grade plus ascending num/den coefficient lists."""
     return {
         "pi_power": f.pi_power,
-        "num": [str(c) for c in f.fun.num.coeffs],
-        "den": [str(c) for c in f.fun.den.coeffs],
+        "num": [str(c) for c in f.num.coeffs],
+        "den": [str(c) for c in f.den.coeffs],
     }
 
 

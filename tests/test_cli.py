@@ -139,6 +139,19 @@ def test_measure_rejects_bad_entry(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "coeffs, entry",
+    [("[true, 2.5, true]", "True"), ("[false, 1]", "False"), ("[[1, true], 2]", "[1, True]")],
+)
+def test_measure_rejects_json_booleans(capsys, coeffs, entry):
+    """bool is an int subclass: [true, 2.5, true] was measured as
+    1 + 2.5x + x^2 and reported 2.0."""
+    code, out, err = invoke(capsys, ["measure", "--coeffs", coeffs])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad coefficient entry: {entry}\n"
+
+
 # ---------------------------------------------------------------------------
 # exact reports: hn, volume
 
@@ -482,6 +495,9 @@ def test_exact_reports_match_golden_digests(capsys, argv):
 # quadrature nodes, exp(2 pi i / 32)
 NODE_ON_ZERO = "[[-0.9807852804032304, -0.19509032201612825], [1, 0]]"
 
+# the JSON of 1 + x + ... + x^d, one degree above measure's cap
+OVER_DEGREE_CAP = json.dumps([1] * (cli.DEGREE_CAP + 2))
+
 # (exit status, sha256 of stderr) of one call per cause of exit 2 or 3: the
 # error lines, and argparse's usage text, are pinned like the reports
 ERROR_DIGESTS = {
@@ -515,6 +531,9 @@ ERROR_DIGESTS = {
     ("table", "--N", "200", "--start", "25", "--stop", "25.01"): (3, "5ee58f0cc94f5d8306ea4dd2e1e0ea8cd9412fc045cfdebcfade0b77cd8453a9"),
     ("measure", "--coeffs", "[1e10, 1, 1e-300]"): (3, "2b331ba9a0ad88fad5c187826d25a88d5b08492bc98fafb74a80b21a34da8f97"),
     ("measure", "--coeffs", NODE_ON_ZERO, "--nodes", "16"): (3, "581af9159c82cc624198efbb4a237188d856f197e0b54a4bc9193f801cf46b3e"),
+    ("measure", "--coeffs", "[true, 2.5, true]"): (2, "3535a47ff9ff7c9937b6a4a317f13479651b7efc6255d059c031ef737887d684"),
+    ("measure", "--coeffs", "[[1, true], 2]"): (2, "d24f72cc3be6f7fcc85cca68028656eb30488c023ca5b6ac0dcdf6233b013cfd"),
+    ("measure", "--coeffs", OVER_DEGREE_CAP): (2, "b618a9a4dac73bd17333cefe6ab9d2f55e0de14b4baf197707c84a1ce4857dcf"),
 }
 
 
@@ -584,6 +603,30 @@ def test_nodes_above_the_cap_exit_two(capsys, nodes):
     assert code == 2
     assert out == ""
     assert err == f"error: --nodes {nodes} is above the cap of {cli.NODES_CAP} for measure\n"
+
+
+def test_degree_at_the_cap_passes(capsys):
+    """3 + x^d at the cap: every root has modulus 3^(1/d), and both routes
+    give the measure 3."""
+    d = cli.DEGREE_CAP
+    coeffs = json.dumps([3] + [0] * (d - 1) + [1])
+    code, rep, _ = invoke_json(capsys, ["measure", "--coeffs", coeffs])
+    assert code == 0
+    assert len(rep["inputs"]["coeffs"]) == d + 1
+    assert rep["numeric_results"]["mahler_quadrature"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_degree_above_the_cap_exits_two_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a polynomial above the degree cap")
+
+    monkeypatch.setattr(cli, "find_roots", no_solve)
+    monkeypatch.setattr(cli, "mahler_quadrature", no_solve)
+    code, out, err = invoke(capsys, ["measure", "--coeffs", OVER_DEGREE_CAP])
+    assert code == 2
+    assert out == ""
+    cap = cli.DEGREE_CAP
+    assert err == f"error: degree {cap + 1} is above the cap of {cap} for measure\n"
 
 
 @pytest.mark.parametrize("n, xi", [("2", "1e200"), ("2", "1e308"), ("8", "1e40")])

@@ -28,7 +28,6 @@ from recmahler.exact import (
     PiScaled,
     PolyQ,
     RatFunPi,
-    RatFunQ,
     laurent_from_map,
     laurent_from_poles,
     laurent_mellin,
@@ -50,7 +49,7 @@ nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
 def ratq(num, den):
-    return RatFunQ.from_coeffs(num, den)
+    return RatFunPi.from_coeffs(0, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +165,38 @@ def test_ratfunq_reduces_and_normalizes():
     f = ratq((-1, 0, 1), (-2, 2))  # (s^2-1)/(2s-2)
     assert f.den.leading == 1
     assert f == ratq((F(1, 2), F(1, 2)), (1,))  # (s+1)/2
-    assert f.eval(3) == F(2)
+    assert ratfun_eval_exact(f, 3) == PiScaled(F(2))
     assert poly_gcd(f.num, f.den).degree == 0
 
 
 def test_ratfunq_zero_canonical():
-    z = ratq((0,), (3, 1))
-    assert z == RatFunQ.zero()
-    assert z.is_zero
+    z = RatFunPi.from_coeffs(3, (0,), (3, 1))
+    assert z == RatFunPi.zero()
+    assert z.is_zero and z.pi_power == 0
 
 
 def test_ratfunq_eval_pole():
     f = ratq((1,), (-1, 1))
     with pytest.raises(PoleEvaluation):
-        f.eval(1)
-    assert f.eval(2) == F(1)
+        ratfun_eval_exact(f, 1)
+    assert ratfun_eval_exact(f, 2) == PiScaled(F(1))
 
 
 def test_ratfunq_division_by_zero():
     with pytest.raises(DivisionByZero):
-        ratq((1,), (1,)) / RatFunQ.zero()
+        ratq((1,), (1,)) / RatFunPi.zero()
     with pytest.raises(DivisionByZero):
-        RatFunQ.make(PolyQ((F(1),)), PolyQ())
+        RatFunPi.make(0, PolyQ((F(1),)), PolyQ())
+
+
+def test_ratfunpi_zero_keeps_grade_zero():
+    """Zero is canonical at grade 0 however it is reached: negation and
+    scalar division keep it there."""
+    z = RatFunPi.make(5, PolyQ(), PolyQ((F(2), F(1))))
+    assert z == RatFunPi.zero() and z.pi_power == 0
+    d1 = RatFunPi.from_coeffs(1, (0, 2), (-1, 0, 1))
+    for w in [-z, z / 3, z / F(-2, 7), -(d1 - d1), (d1 - d1) / 5, d1 * 0]:
+        assert w == RatFunPi.zero() and w.pi_power == 0
 
 
 def test_ratfun_pi_divides_by_a_scalar():
@@ -196,7 +205,7 @@ def test_ratfun_pi_divides_by_a_scalar():
     f = RatFunPi.from_coeffs(2, (0, 4), (-4, 0, 2))
     assert f / 3 == RatFunPi.from_coeffs(2, (0, F(2, 3)), (-2, 0, 1))
     assert f / F(-1, 2) == f * -2
-    assert (f / F(2, 5)).fun.den.leading == 1
+    assert (f / F(2, 5)).den.leading == 1
     with pytest.raises(DivisionByZero):
         f / 0
 
@@ -205,8 +214,9 @@ small_polys = st.lists(rationals, min_size=0, max_size=3).map(
     lambda cs: PolyQ(tuple(cs))
 )
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+# one grade for all, so that every sum below is defined
 ratfuns = st.builds(
-    lambda n, d: RatFunQ.make(n, d), small_polys, nonzero_polys
+    lambda n, d: RatFunPi.make(1, n, d), small_polys, nonzero_polys
 )
 
 
@@ -223,9 +233,9 @@ def test_ratfunq_field_identities(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(ratfuns, nonzero_polys)
 def test_ratfunq_make_is_idempotent_and_gcd_free(f, g):
-    again = RatFunQ.make(f.num, f.den)
+    again = RatFunPi.make(f.pi_power, f.num, f.den)
     assert again == f
-    inflated = RatFunQ.make(f.num * g, f.den * g)
+    inflated = RatFunPi.make(f.pi_power, f.num * g, f.den * g)
     assert inflated == f
     if not f.is_zero:
         assert poly_gcd(f.num, f.den).degree == 0
@@ -359,7 +369,7 @@ def test_partial_fractions_match_near_pole_limit():
     f = hhat2()
     eps = F(1, 10 ** 6)
     for n, res in partial_fractions(f).items():
-        near = f.fun.eval(n + eps) * eps
+        near = ratfun_eval_exact(f, n + eps).coeff * eps
         assert float(near) == pytest.approx(float(res.coeff), rel=1e-4)
 
 

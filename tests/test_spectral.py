@@ -151,7 +151,7 @@ def test_i_matrix_validates():
                     assert e.is_zero
                     continue
                 assert not e.is_zero and e.pi_power == 1
-                assert e.fun.num.coeffs[0] == 0
+                assert e.num.coeffs[0] == 0
                 assert e.is_odd()
 
 
@@ -326,9 +326,21 @@ def test_det_double_sum_size_cap():
 def test_h_product_frozen_and_parity():
     assert h_product(2) == RatFunPi.from_coeffs(2, (0, 0, 4), (4, 0, -5, 0, 1))
     for n in range(1, 7):
-        f = h_product(n).fun
-        flipped = f.subs_neg()
-        assert flipped == (f if n % 2 == 0 else -f)
+        # f(-s) = (-1)^N f(s), as num(-s) den(s) = (-1)^N num(s) den(-s)
+        f = h_product(n)
+        flipped = f.num.subs_neg() * f.den
+        assert flipped == f.num * f.den.subs_neg() * (-1) ** n
+
+
+def test_trusted_builds_are_reduced_and_monic():
+    """The builders that skip the gcd (_ratfun_from_ints, ratfun_from_poles)
+    give the form RatFunPi.make reaches through it."""
+    built = [f(n) for f in (h_hat, h_product) for n in range(1, 41)]
+    built += [i_entry(j, k) for j in range(1, 13) for k in range(1, 13)]
+    built += [d_term(n) for n in range(1, 41)]
+    for f in built:
+        assert RatFunPi.make(f.pi_power, f.num, f.den) == f
+        assert f.den.leading == 1
 
 
 def test_h_hat_frozen():
