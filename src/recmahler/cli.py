@@ -14,13 +14,13 @@ iteration happenstance.
 
 Exit status: 0 when every check passed, 1 when any check failed, 2 for
 malformed arguments (among them a flag above its cap in _CAPS: an order N
-above N_CAPS, a verify-entries index above ENTRY_INDEX_CAP, a measure
---nodes above NODES_CAP; a measure coefficient vector of degree above
-DEGREE_CAP; a JSON true or false as a coefficient), 3 when a computation
-on valid input failed (a root solve that did not converge or whose
-coefficient ratio c_j/c_d overflows a double, a quadrature node on a zero
-of the integrand, a float value of h_N(xi) or of a Monte Carlo box volume
-that overflows a double).
+above N_CAPS, mc's the box sampler's limit 2, a verify-entries index above
+ENTRY_INDEX_CAP, a measure --nodes above NODES_CAP; a measure coefficient
+vector above DEGREE_CAP or NODE_TERMS_CAP; a JSON true or false as a
+coefficient), 3 when a computation on valid input failed (a root solve that
+did not converge or whose coefficient ratio c_j/c_d overflows a double, a
+quadrature node on a zero of the integrand, a float value of h_N(xi) or of
+a Monte Carlo box volume that overflows a double).
 Exits 2 and 3 print one `error:` line to stderr.
 """
 
@@ -129,10 +129,13 @@ def _cmd_measure(args) -> int:
         with open(args.coeffs_file, "r", encoding="utf-8") as fh:
             text = fh.read()
     coeffs = _parse_coeff_vector(text)
-    if coeffs.size - 1 > DEGREE_CAP:
-        raise ValueError(
-            f"degree {coeffs.size - 1} is above the cap of {DEGREE_CAP} for measure"
-        )
+    size = coeffs.size
+    for what, value, cap in (
+        (f"degree {size - 1}", size - 1, DEGREE_CAP),
+        (f"--nodes {args.nodes} times {size} coefficients", args.nodes * size, NODE_TERMS_CAP),
+    ):
+        if value > cap:
+            raise ValueError(f"{what} is above the cap of {cap} for measure")
     rs = find_roots(coeffs, args.tol)
     by_roots = rs.mahler(coeffs[-1])
     by_quad = mahler_quadrature(coeffs, args.nodes)
@@ -388,9 +391,9 @@ class _Usage(Exception):
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
 # its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.8 s at N = 500
 # and 1.1 s at N = 550); volume's value overflows from N = 618.
-# mc stops at N = 8: the box sampler scores no hit from N = 3 (at N = 3
-# the star body fills about 3e-8 of its box), so a higher order would only
-# add runs that cannot resolve.
+# mc stops at the box sampler's own limit, montecarlo.BOX_MAX_ORDER = 2:
+# from N = 3 the star body fills too small a share of the box (about 3e-8
+# at N = 3) for any practical sample count to score a hit.
 # jacobian-test stops where central differences still resolve the 2N x 2N
 # determinant to its 1e-5 tolerance: every seed from 0 to 99 passes at
 # N = 7, and 6 of them fail at N = 8.
@@ -399,7 +402,7 @@ N_CAPS = {
     "volume": 500,
     "verify-det": 100,
     "rank-one": 64,
-    "mc": 8,
+    "mc": montecarlo.BOX_MAX_ORDER,
     "table": 200,
     "jacobian-test": 7,
 }
@@ -420,6 +423,12 @@ NODES_CAP = 1 << 22
 # cluster (1 + x)^d, exit 3, 0.89 s); at d = 512 a real Gaussian vector
 # took 2.0 s and the cluster 1.7 s.
 DEGREE_CAP = 384
+
+# Largest --nodes times number of coefficients `measure` accepts: the caps
+# above alone let degree 384 at 2^22 nodes take 8.1 s.  At this one, degree
+# 31 at 2^22 nodes took 0.66-0.98 s and degree 384 at 348617 nodes 0.59-0.70
+# s (one run 1.7 s) on 2 cores, Gaussian coefficients.
+NODE_TERMS_CAP = 1 << 27
 
 # Largest number of xi steps `table` accepts.
 TABLE_MAX_STEPS = 10**6

@@ -13,17 +13,12 @@ with rate set by the distance of the nearest root to the circle, so it is
 only trustworthy for root-screened inputs, where it provides a genuinely
 independent cross-check.
 
-Root finding is a simultaneous iteration (Ehrlich-Aberth corrections) over
-all roots at once, finished with a short Newton polish.  The kernel is
-written over a batch axis; each row stops iterating once its own step
-stagnates.  A batch starts deterministically on a circle whose radius comes
-from the Cauchy coefficient bound.  One polynomial (find_roots) starts
-instead from the eigenvalues of its companion matrix, which are accurate to
-rounding for well-separated roots, so Aberth stops after one sweep where
-the circle start takes several, each paying NumPy's per-call overhead.
-Batches keep the circle start: LAPACK solves one matrix at a time, so per
-row the eigenvalues cost more than the sweeps they save.  README gives the
-measured figures.
+Root finding (find_roots) is a simultaneous iteration (Ehrlich-Aberth
+corrections) over all roots at once, started from the companion matrix's
+eigenvalues and finished with a short Newton polish.  The eigenvalues are
+accurate to rounding for well-separated roots, so Aberth stops after one
+sweep where a start on the Cauchy-bound circle, kept as the fallback,
+takes several (README gives the figures).
 
 Reciprocal measures use the paper's pair products instead of the degree-2N
 palindrome: x^N p_v(x) = v_N prod (x^2 + beta_n x + 1), so with
@@ -31,22 +26,18 @@ y = x + 1/x, p_v(x) = Q(y) for a degree-N polynomial Q, and the measure is
 |v_N| prod max(|alpha_n|, 1/|alpha_n|) over the N roots of Q.  mu_rec_batch
 computes it for a batch of coefficient vectors.  From N = 9, where Q's
 monomial basis loses accuracy, it solves the degree-2N palindrome instead.
-Either polynomial goes through one fallback chain, and each row takes one
-path through its three tiers:
+Each row takes one of two tiers:
 
-1. the exact closed form at degree 1 and 2;
-2. aberth_batch from the circle start at every higher degree;
-3. find_roots on each row still unconverged or whose measure is not
-   finite, alone: its companion start converges where the circle start
-   can miss, and it splits off exact zero roots (near a multiple root at
-   0 the scale-free residual stays at 1, so Aberth does not certify one).
-   The retry re-forms every row it takes from the row scaled into range,
-   so a row near either end of the double range, whose coefficients or
-   closed-form intermediates overflow, still gets its measure.
+1. the exact closed form of Q's roots at N = 1 and 2, for the whole batch;
+2. find_roots, one row at a time, on every row from N = 3 and on each row
+   whose closed-form measure is not finite, re-formed from its copy scaled
+   into range: a row near either end of the double range still gets its
+   measure.  find_roots also splits off exact zero roots, which Aberth
+   cannot certify (the scale-free residual stays at 1 near them).
 
-The Monte Carlo module pushes its samples through mu_rec_batch in blocks of
-a few thousand rows, and mu_rec / nu_rec are its batch of one.  No step
-mixes rows, so at every N a row's bits do not depend on its batch.
+The Monte Carlo module, at N <= 2, pushes its samples through mu_rec_batch
+in blocks of a few thousand rows, and mu_rec / nu_rec are its batch of one.
+No step mixes rows, so at every N a row's bits do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -71,7 +62,9 @@ _STEP_TOL = 1e-14
 # Q(y) in the monomial basis costs about (1 + sqrt 2)^N of the working
 # precision (its roots crowd the segment [-2, 2]): 7e-15 relative at N = 8,
 # 4e-12 at N = 16, no convergence at N = 30.  Above this order the
-# reciprocal kernel solves the degree-2N palindrome instead.
+# reciprocal kernel solves the degree-2N palindrome instead.  Below it Q
+# stays: a root y = +-2 of Q is a double root x = +-1 of the palindrome,
+# which costs the palindrome's solve about half the digits.
 Y_MAX_ORDER = 8
 # A coefficient vector whose largest part leaves [2^-500, 2^500] is scaled by
 # a power of two, which is exact, before its monic ratios or circle values
@@ -135,16 +128,6 @@ def _residual_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.max(vals / scale, axis=1)
 
 
-def _circle_start(monic: np.ndarray) -> np.ndarray:
-    """Deterministic Aberth start for monic rows: a circle of Cauchy bound
-    radius, equispaced angles with a fixed offset so no guess starts on a
-    symmetry axis of real inputs."""
-    deg = monic.shape[1] - 1
-    radius = 1.0 + np.max(np.abs(monic[:, :-1]), axis=1)
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4 / deg
-    return radius[:, None] * np.exp(1j * angles)[None, :]
-
-
 def aberth_batch(
     coeffs: np.ndarray, tol: float = 1e-10, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,15 +135,14 @@ def aberth_batch(
 
     coeffs: (B, d+1) complex, ascending, leading column nonzero in every row.
     start: (B, d) initial root estimates; by default a circle of Cauchy bound
-    radius per row.  find_roots passes a polynomial's companion eigenvalues,
-    which pay off for a batch of one only (module docstring).
+    radius per row.  find_roots, the one caller, passes a batch of one.
     Returns (roots (B, d), residual (B,), converged (B,) bool).  Rows that
-    fail to reach tol are reported, not raised; the single-polynomial API
-    turns that into NoConvergence, the Monte Carlo driver counts it.
+    fail to reach tol are reported, not raised; find_roots turns that into
+    NoConvergence.
 
-    The iteration runs to step stagnation, which keeps grinding on root
-    clusters (linear convergence) and pays off with near-exact multiple
-    roots instead of sqrt(tol)-accurate ones.
+    The iteration runs until every row's step stagnates, which keeps
+    grinding on root clusters (linear convergence) and pays off with
+    near-exact multiple roots instead of sqrt(tol)-accurate ones.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     batch, width = coeffs.shape
@@ -169,21 +151,21 @@ def aberth_batch(
     dcoeffs = monic[:, 1:] * np.arange(1, deg + 1)
 
     if start is None:
-        z = _circle_start(monic)
+        # equispaced angles with a fixed offset, so that no guess starts on
+        # a symmetry axis of real inputs
+        radius = 1.0 + np.max(np.abs(monic[:, :-1]), axis=1)
+        angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.4 / deg
+        z = radius[:, None] * np.exp(1j * angles)[None, :]
     else:
         z = np.array(start, dtype=complex).reshape(batch, deg)
 
-    # rows leave the active set once their own step stagnates, so one slow
-    # row does not keep the whole batch iterating
     eye = np.eye(deg, dtype=bool)
-    active = np.arange(batch)
-    za, ma, da = z, monic, dcoeffs
     for _ in range(_MAX_ITER):
-        p = _horner_batch(ma, za)
-        dp = _horner_batch(da, za)
+        p = _horner_batch(monic, z)
+        dp = _horner_batch(dcoeffs, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = p / dp
-            diff = za[:, :, None] - za[:, None, :]
+            diff = z[:, :, None] - z[:, None, :]
             inv = 1.0 / diff
             inv[:, eye] = 0.0
             s = inv.sum(axis=2)
@@ -191,16 +173,10 @@ def aberth_batch(
         bad = ~np.isfinite(delta)
         if bad.any():
             # derivative hit zero or two estimates collided: nudge instead
-            delta[bad] = 0.1 * (1.0 + np.abs(za[bad])) * np.exp(0.7j)
-        za = za - delta
-        going = (np.abs(delta) / (1.0 + np.abs(za))).max(axis=1) > _STEP_TOL
-        n_going = np.count_nonzero(going)
-        if n_going < going.size:
-            if n_going == 0:
-                break
-            z[active] = za
-            active, za, ma, da = active[going], za[going], ma[going], da[going]
-    z[active] = za
+            delta[bad] = 0.1 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
+        z = z - delta
+        if not np.any((np.abs(delta) / (1.0 + np.abs(z))).max(axis=1) > _STEP_TOL):
+            break
 
     # Newton polish
     for _ in range(3):
@@ -241,13 +217,13 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
     """All complex roots of one polynomial given by ascending coefficients.
 
     Aberth starts from the companion eigenvalues (see the module docstring)
-    and runs to stagnation as in a batch, so the eigenvalues only place the
-    start.  A nonzero constant has the empty root set, with residual 0.0.
-    A coefficient that is not finite raises ValueError.  A polynomial
-    whose coefficient ratio c_j/c_d overflows a double
-    has no usable monic form and raises NoConvergence.  The returned roots
-    are sorted by (real, imag) so equal inputs give identical output, not
-    just equal root multisets.
+    and runs to stagnation, so the eigenvalues only place the start.  A
+    nonzero constant has the empty root set, with residual 0.0.  A
+    coefficient that is not finite raises ValueError.  A polynomial whose
+    coefficient ratio c_j/c_d overflows a double has no usable monic form
+    and raises NoConvergence.  The returned roots are sorted by (real,
+    imag) so equal inputs give identical output, not just equal root
+    multisets.
     """
     arr = np.asarray(coeffs, dtype=complex)
     if arr.ndim != 1 or arr.size == 0 or not np.any(arr != 0):
@@ -369,21 +345,15 @@ def y_coeffs(v: np.ndarray, lead: complex | None = None) -> np.ndarray:
     return q.T
 
 
-def _batch_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(B, d) roots of each row polynomial of degree d >= 1 (ascending
-    coefficients), and the rows' converged flags: tiers 1 and 2 of the
-    module docstring."""
-    deg = coeffs.shape[1] - 1
-    if deg == 1:
-        return -coeffs[:, :1] / coeffs[:, 1:], np.ones(len(coeffs), dtype=bool)
-    if deg == 2:
-        a, b, c = coeffs[:, 2], coeffs[:, 1], coeffs[:, 0]
-        t = -0.5 * (b + _aligned_sqrt(b * b - 4.0 * a * c, b))
-        # t = 0 only for b = c = 0: a double root at 0
-        roots = np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1)
-        return roots, np.ones(len(coeffs), dtype=bool)
-    roots, _, ok = aberth_batch(coeffs, tol)
-    return roots, ok
+def _closed_form_roots(coeffs: np.ndarray) -> np.ndarray:
+    """(B, d) roots of each row polynomial of degree d = 1 or 2 (ascending
+    coefficients): tier 1 of the module docstring."""
+    if coeffs.shape[1] == 2:
+        return -coeffs[:, :1] / coeffs[:, 1:]
+    a, b, c = coeffs[:, 2], coeffs[:, 1], coeffs[:, 0]
+    t = -0.5 * (b + _aligned_sqrt(b * b - 4.0 * a * c, b))
+    # t = 0 only for b = c = 0: a double root at 0
+    return np.stack([t / a, np.where(t == 0, 0.0, c / t)], axis=1)
 
 
 def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -395,16 +365,11 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     coefficients come from y_coeffs: Q = v_N prod (y + beta_n), and each
     root y = -beta_n carries the root pair of x^2 - y x + 1, which
     contributes max(|alpha|, 1/|alpha|) to the measure.  Q's roots, or the
-    degree-2N palindrome's above N = 8 (see Y_MAX_ORDER), come from the
-    three tiers of the module docstring; the find_roots retry re-forms each
-    row it takes, one with finite entries and v_N != 0, from its scaled
-    copy.  v = (1e50, 1, ..., 1) at 4 <= N <= 10 and (1e150, 1, 1, 1) need
-    its companion start, and s (1, ..., 1) with s near either end of the
-    double range needs its scaling.  Every row is computed on its own, so
-    at every N a row's result does not depend on the batch it comes in.  A
-    row that fails the root solve or gives a non-finite measure, as one
-    with v_N = 0 does, reports inf and converged False.  N >= 1: mu_rec
-    takes N = 0.
+    degree-2N palindrome's above N = 8 (see Y_MAX_ORDER), come from the two
+    tiers of the module docstring; find_roots takes only a row with finite
+    entries and v_N != 0.  A row that fails the root solve or gives a
+    non-finite measure, as one with v_N = 0 does, reports inf and converged
+    False.  N >= 1: mu_rec takes N = 0.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[1] - 1
@@ -413,17 +378,17 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
     else:
         embed, moduli_of = y_coeffs, _pair_moduli
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coeffs = embed(v)
-        roots, ok = _batch_roots(coeffs, tol)
-        # np.prod's order, column by column: its reduction along a short
-        # axis costs about 20 ns a row
-        prod = np.ones(len(v))
-        for col in moduli_of(roots).T:
-            prod *= col
-        # tier 3: the circle start can miss where the companion start
-        # converges, and a row near either end of the double range can
-        # overflow on the way to a measure that is finite
-        for row in np.flatnonzero(~(ok & np.isfinite(prod))):
+        if n <= 2:
+            # np.prod's order, column by column: its reduction along a short
+            # axis costs about 20 ns a row
+            prod = np.ones(len(v))
+            for col in _pair_moduli(_closed_form_roots(y_coeffs(v))).T:
+                prod *= col
+        else:
+            prod = np.full(len(v), np.nan)
+        # tier 2: every row from N = 3, and a row whose closed form
+        # overflowed on the way to a measure that may be finite
+        for row in np.flatnonzero(~np.isfinite(prod)):
             if not (np.all(np.isfinite(v[row])) and v[row, -1] != 0):
                 continue
             # the roots do not change with the scale
@@ -432,9 +397,8 @@ def mu_rec_batch(v: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndar
                 prod[row] = math.prod(moduli_of(find_roots(row_coeffs, tol).roots))
             except NoConvergence:
                 continue
-            ok[row] = True
         meas = np.abs(v[:, -1]) * prod
-    ok &= np.isfinite(meas)
+    ok = np.isfinite(meas)
     return np.where(ok, meas, np.inf), ok
 
 

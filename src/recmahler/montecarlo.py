@@ -8,9 +8,9 @@ every k-subset product is at most prod max(1, |root|)).  The indicator of
 {nu_rec <= xi} integrated over that region times the region volume is the
 distribution value h_N(xi); dropping the monic normalization and bounding
 the leading coefficient by 1 gives the star-body volume the same way.
-Each sampled vector v = (v_0, ..., v_N) that the screen below keeps goes
-to measure.mu_rec_batch, which measures it through y = x + 1/x: closed-form
-roots for N <= 2, and a degree-N Aberth solve for every row from N = 3.
+The sampler takes N <= BOX_MAX_ORDER = 2.  Each sampled vector v = (v_0,
+..., v_N) that the screen below keeps goes to measure.mu_rec_batch, which
+measures it through y = x + 1/x with the closed-form roots of Q(y).
 
 The screen.  The kernel's Q(y) = sum q_k y^k has q = measure.y_coeffs(v),
 and q_k = v_N e_{N-k}(beta) for the pair sums beta_n = alpha_n + 1/alpha_n.
@@ -29,14 +29,14 @@ reasoning on Q leaves a region about 9 times smaller at N = 2.  The bound
 holds for any polynomial, so also for the very q the kernel solves, and a
 row is dropped when some |q_k| is above its bound by more than 1e-4 of it.
 That margin covers the bound's float evaluation and a kernel that
-underestimates a row near tau.  The kernel's worst measured errors are
-overestimates, which cannot create a hit, at root clusters (ROADMAP item
-6): (y - 3)^3 reads 4.7e-4 high, 0.5 (y + 2)^2 (y - 1) 1.3e-4.  So no row
-that the kernel puts at or below tau is dropped, and hits, and hence
-estimates, keep every bit.  A dropped row cannot count as a rejection
-either, and the tests check that rejections match the unscreened run too.
-Rows with v_N = 0 or a non-finite entry always reach the kernel, which
-scores them as rejections.
+underestimates a row near tau.  The kernel's closed form was within
+1.2e-15 relative of a 50-digit evaluation of the same q on 971 box rows
+near tau, and within 9.2e-8 on 9000 built rows with near-double roots of
+Q, a root at y = +-2 or both roots on [-2, 2], so no row that it puts at
+or below tau is dropped, and hits, and hence estimates, keep every bit.  A
+dropped row cannot count as a rejection either, and the tests check that
+rejections match the unscreened run too.  Rows with v_N = 0 or a
+non-finite entry always reach the kernel, which scores them as rejections.
 
 The screen runs from N = 1, in two stages, so that most rows are dropped
 before their points are formed: the complex exponential is most of a
@@ -54,19 +54,13 @@ rows, the stages keep:
     N    hn (xi = 1.5)       volume
     1    52%                 58%          (moduli stage only)
     2    24%, then 11%       36%, then 16%
-    3    7%, then 1%         17%, then 3%
-    4    3%, then 0.07%      10%, then 0.3%
-
-and from N = 5 the first keeps under 1% of the hn rows and 3-6% of the
-volume rows, the second almost none.
 
 A chunk is drawn, screened and measured in row blocks of _BLOCK = 4096.
 For a whole chunk the root kernel's temporaries take a megabyte per complex
-column, and at N = 8 Aberth's (rows, N, N) arrays take 67 MB each: every
-fresh page costs a page fault, and the process keeps its largest size.  A
-block's temporaries stay in cache and are reused.  Each block's w is drawn
-for every row, the dropped ones too, so the stream does not depend on the
-screen.  The rows a chunk keeps reach the kernel _BLOCK at a time, so one
+column: every fresh page costs a page fault, and the process keeps its
+largest size.  A block's temporaries stay in cache and are reused.  Each
+block's w is drawn for every row, the dropped ones too, so the stream does
+not depend on the screen.  The rows a chunk keeps reach the kernel _BLOCK at a time, so one
 N = 2 chunk makes about 2 calls instead of 16.  The kernel works row by
 row and the tallies are integers, so blocks change no bit of an estimate.
 
@@ -95,9 +89,13 @@ from .measure import _y_terms, mu_rec_batch, y_coeffs
 CHUNK = 1 << 16
 # rows per mu_rec_batch call (module docstring)
 _BLOCK = 4096
-# residual target of the degree-N root solve for N >= 3
+# residual target of find_roots on a row whose closed form is not finite
 _ROOT_TOL = 1e-9
 _REJECTION_CAP = 1e-6
+# Largest order N the box sampler takes: the star body's volume
+# 2^N pi^(N+1) (N+1)^N / (2N+1)! fills about 3e-8 of its box at N = 3, so
+# 1% error would take about 10^12 samples, and no practical run scores a hit.
+BOX_MAX_ORDER = 2
 # the screen's one margin, relative to the bound (module docstring): it
 # must cover the kernel underestimating a row near the threshold
 _SCREEN_REL = 1e-4
@@ -262,21 +260,30 @@ def _moduli_may_hit(r: np.ndarray, lead: complex | None, threshold: float) -> np
 
 
 def _box_estimate(
-    radii: np.ndarray,
+    n_order: int,
     lead: complex | None,
     threshold: float,
     samples: int,
     seed: int,
     workers: int,
 ) -> MCEstimate:
-    """Estimate of vol{v : mu_rec(v) <= threshold} from v uniform on the
-    product of disks with these radii, followed by the fixed leading
-    coefficient lead, or with v_N sampled by the last disk when lead is None.
-    Only the rows the screen keeps reach the root kernel: the moduli stage,
-    then from N = 2 _may_hit.  A box whose volume overflows a double raises
-    EvaluationOverflow before any sample is drawn.
+    """Estimate of vol{v : mu_rec(v) <= threshold} at order N, from v
+    uniform on the box bounding_radii(N, threshold), followed by the fixed
+    leading coefficient lead, or with v_N uniform on the unit disk when lead
+    is None.  Only the rows the screen keeps reach the root kernel: the
+    moduli stage, then from N = 2 _may_hit.  N above BOX_MAX_ORDER raises
+    ValueError, and a box volume that overflows EvaluationOverflow, before
+    any sample is drawn.
     """
-    n_order = radii.size - (lead is None)
+    if samples < 10_000:
+        raise ValueError("at least 10^4 samples required")
+    if n_order > BOX_MAX_ORDER:
+        raise ValueError(
+            f"the Monte Carlo box sampler takes N <= {BOX_MAX_ORDER}, got N = {n_order}"
+        )
+    radii = bounding_radii(n_order, threshold)
+    if lead is None:
+        radii = np.append(radii, 1.0)
     # every factor is at least pi, so an overflow on the way is one at the end
     with np.errstate(over="ignore"):
         volume = float(np.prod(np.pi * radii ** 2))
@@ -333,10 +340,8 @@ def mc_hN(
     seed: int = 0,
     workers: int = 1,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the distribution value h_N(xi)."""
-    if samples < 10_000:
-        raise ValueError("at least 10^4 samples required")
-    return _box_estimate(bounding_radii(n_order, xi), 1.0, xi, samples, seed, workers)
+    """Monte Carlo estimate of the distribution value h_N(xi), N <= 2."""
+    return _box_estimate(n_order, 1.0, xi, samples, seed, workers)
 
 
 def mc_volume(
@@ -345,9 +350,6 @@ def mc_volume(
     seed: int = 0,
     workers: int = 1,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the volume of {mu_rec <= 1} in C^{N+1}, on
-    the box bounding_radii(N, 1) with a sampled leading slot of radius 1."""
-    if samples < 10_000:
-        raise ValueError("at least 10^4 samples required")
-    radii = np.append(bounding_radii(n_order, 1.0), 1.0)
-    return _box_estimate(radii, None, 1.0, samples, seed, workers)
+    """Monte Carlo estimate of the volume of {mu_rec <= 1} in C^{N+1}, N <= 2,
+    on the box bounding_radii(N, 1) with a sampled leading slot of radius 1."""
+    return _box_estimate(n_order, None, 1.0, samples, seed, workers)

@@ -366,9 +366,11 @@ def _no_constants(name):
 
 
 def test_mc_without_hits_reports_valid_json(capsys):
+    """h_2(1.001) is about 7.9e-5 against a box of volume about 5.7e3, so
+    10^4 samples expect 1.4e-4 hits."""
     code, out, _ = invoke(
         capsys,
-        ["mc", "--mode", "hn", "--N", "3", "--xi", "1.5", "--samples", "16384", "--seed", "0"],
+        ["mc", "--mode", "hn", "--N", "2", "--xi", "1.001", "--samples", "10000", "--seed", "0"],
     )
     rep = json.loads(out, parse_constant=_no_constants)
     assert code == 1
@@ -498,6 +500,10 @@ NODE_ON_ZERO = "[[-0.9807852804032304, -0.19509032201612825], [1, 0]]"
 # the JSON of 1 + x + ... + x^d, one degree above measure's cap
 OVER_DEGREE_CAP = json.dumps([1] * (cli.DEGREE_CAP + 2))
 
+# 2^27 + 1 = 81 * 1657009: 1 + x + ... + x^80 at 1657009 nodes is one node
+# term above measure's cap on their product
+OVER_NODE_TERMS = ("--coeffs", json.dumps([1] * 81), "--nodes", "1657009")
+
 # (exit status, sha256 of stderr) of one call per cause of exit 2 or 3: the
 # error lines, and argparse's usage text, are pinned like the reports
 ERROR_DIGESTS = {
@@ -507,7 +513,9 @@ ERROR_DIGESTS = {
     ("volume", "--N", "501"): (2, "0a1fb7164be8b9017718cb426fd87ed655d8749e876008229b5fc0fa9ff2aa2c"),
     ("verify-det", "--N", "101"): (2, "085aef5f27400080df5dd93f63b6985a3da8c283d3edbcaa0a00d9a5e4265f57"),
     ("rank-one", "--N", "65"): (2, "d2feb13bdab2002a891f70ea4b1562ebded33b3b2ba7ef661b069b93071a43c8"),
-    ("mc", "--mode", "volume", "--N", "9"): (2, "d7c59d663385025135f985e7c1971c6ffa7c02ab914b8cd1258eff68a3884dc4"),
+    ("mc", "--mode", "volume", "--N", "9"): (2, "93f51993722242ab364fdb72be06da9184512282edb742497a324b6b5f18e552"),
+    ("mc", "--mode", "volume", "--N", "3"): (2, "d9398b6e30a6bbc263be73ea1d61bef24adbc1e29c3d161a806ab170b686bae9"),
+    ("mc", "--mode", "hn", "--N", "3", "--xi", "1.5"): (2, "d9398b6e30a6bbc263be73ea1d61bef24adbc1e29c3d161a806ab170b686bae9"),
     ("table", "--N", "201"): (2, "7ec0e0b21bf102551296e64b39e11937ab633b3be6e631a05f9222c935965bea"),
     ("jacobian-test", "--N", "8"): (2, "9abddfee5af1f49a0a780ea07b945362c87f3890db61cba68f484badf6256403"),
     ("verify-entries", "--J", "216", "--K", "3"): (2, "030cf6a3c39904919837406dc13a8a607bea9f3e68207d017454359e3a867bfb"),
@@ -534,6 +542,7 @@ ERROR_DIGESTS = {
     ("measure", "--coeffs", "[true, 2.5, true]"): (2, "3535a47ff9ff7c9937b6a4a317f13479651b7efc6255d059c031ef737887d684"),
     ("measure", "--coeffs", "[[1, true], 2]"): (2, "d24f72cc3be6f7fcc85cca68028656eb30488c023ca5b6ac0dcdf6233b013cfd"),
     ("measure", "--coeffs", OVER_DEGREE_CAP): (2, "b618a9a4dac73bd17333cefe6ab9d2f55e0de14b4baf197707c84a1ce4857dcf"),
+    ("measure",) + OVER_NODE_TERMS: (2, "14e6675b501f8e318376abed35ede62c193759230533fbc1424ff2b88cf224b1"),
 }
 
 
@@ -629,7 +638,32 @@ def test_degree_above_the_cap_exits_two_before_any_solve(capsys, monkeypatch):
     assert err == f"error: degree {cap + 1} is above the cap of {cap} for measure\n"
 
 
-@pytest.mark.parametrize("n, xi", [("2", "1e200"), ("2", "1e308"), ("8", "1e40")])
+def test_node_terms_at_the_cap_pass(capsys):
+    """3 + x^127 at 2^20 nodes, 128 * 2^20 = 2^27 node terms: both routes
+    give the measure 3."""
+    assert cli.NODE_TERMS_CAP == 128 << 20
+    coeffs = json.dumps([3] + [0] * 126 + [1])
+    code, rep, _ = invoke_json(capsys, ["measure", "--coeffs", coeffs, "--nodes", str(1 << 20)])
+    assert code == 0
+    assert rep["numeric_results"]["mahler_quadrature"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_node_terms_above_the_cap_exit_two_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a polynomial above the node-term cap")
+
+    monkeypatch.setattr(cli, "find_roots", no_solve)
+    monkeypatch.setattr(cli, "mahler_quadrature", no_solve)
+    code, out, err = invoke(capsys, ["measure", *OVER_NODE_TERMS])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --nodes 1657009 times 81 coefficients is above the cap of "
+        f"{cli.NODE_TERMS_CAP} for measure\n"
+    )
+
+
+@pytest.mark.parametrize("n, xi", [("2", "1e200"), ("2", "1e308"), ("1", "1e160")])
 def test_overflowing_box_volume_exits_three(capsys, n, xi):
     """Unchecked, the box volume overflowed with a NumPy warning, every
     sample then failed, and the error blamed the root solve."""

@@ -80,7 +80,7 @@ def test_region_volumes():
     assert estv.region_volume == pytest.approx(4 * math.pi ** 2, rel=1e-15)
 
 
-@pytest.mark.parametrize("n_order, xi", [(2, 1e200), (1, 1e308), (8, 1e40)])
+@pytest.mark.parametrize("n_order, xi", [(2, 1e200), (1, 1e308), (1, 1e160)])
 def test_overflowing_box_volume_raises_before_sampling(monkeypatch, n_order, xi):
     def sampled(*args):
         raise AssertionError("a sample was drawn")
@@ -91,6 +91,25 @@ def test_overflowing_box_volume_raises_before_sampling(monkeypatch, n_order, xi)
     assert str(info.value) == (
         f"Monte Carlo box volume at N = {n_order}, xi = {xi:.15g} overflows a double"
     )
+
+
+def test_order_above_the_box_limit_raises_before_sampling(monkeypatch):
+    """From N = 3 the target set fills too small a share of the box for any
+    hit, so the estimators refuse the order before they draw."""
+    drawn = []
+
+    def recorded(gen, count, radii):
+        drawn.append(count)
+        return _sample_disks(gen, count, radii)
+
+    monkeypatch.setattr(montecarlo, "_sample_disks", recorded)
+    message = "^the Monte Carlo box sampler takes N <= 2, got N = 3$"
+    assert montecarlo.BOX_MAX_ORDER == 2
+    with pytest.raises(ValueError, match=message):
+        mc_hN(3, 1.5, 10_000)
+    with pytest.raises(ValueError, match=message):
+        mc_volume(3, 10_000)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +267,7 @@ def test_three_sigma_coverage_over_replications():
 # chunks are measured in row blocks
 
 
-@pytest.mark.parametrize("n_order", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_order", [1, 2])
 @pytest.mark.parametrize("samples, workers", [(10_000, 1), (70_000, 2)])
 def test_blocked_estimates_equal_the_whole_chunk_ones(monkeypatch, n_order, samples, workers):
     """Both sample counts end in a partial block; 70000 samples fill two
@@ -292,33 +311,6 @@ def test_chunks_draw_through_sample_disks(monkeypatch):
     assert counts == [CHUNK, 70_000 - CHUNK, 10_000]
 
 
-# (hits, rejections) at N = 3, as measured when the kernel solved the cubic
-# in closed form: seeds 0-9 in each mode, then the box at thresholds that
-# 10% to 90% of its samples meet
-ORDER_THREE_TALLIES = [(0, 0)] * 20 + [
-    (1008, 0), (4662, 0), (8945, 0), (1078, 0), (4858, 0), (8862, 0),
-]
-
-
-def test_order_three_tallies():
-    radii = bounding_radii(3, 1.5)
-    vol_radii = np.append(bounding_radii(3, 1.0), 1.0)
-
-    def runs():
-        for seed in range(10):
-            yield mc_hN(3, 1.5, 10_000, seed=seed)
-            yield mc_volume(3, 10_000, seed=seed)
-        for threshold in (17.0, 25.0, 34.0):
-            yield montecarlo._box_estimate(radii, 1.0, threshold, 10_000, 7, 1)
-        for threshold in (11.5, 17.0, 22.5):
-            yield montecarlo._box_estimate(vol_radii, None, threshold, 10_000, 7, 1)
-
-    tallies = [
-        (round(est.mean / est.region_volume * est.samples), est.rejections) for est in runs()
-    ]
-    assert tallies == ORDER_THREE_TALLIES
-
-
 # ---------------------------------------------------------------------------
 # the screen on Q's coefficients
 
@@ -339,7 +331,7 @@ def _unscreened(est):
 
 
 @pytest.mark.parametrize("mode", ["hn", "volume"])
-@pytest.mark.parametrize("n_order", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_order", [2])
 def test_screen_keeps_every_row_at_or_below_the_threshold(mode, n_order):
     """Every row of a 2x inflated box is measured; at the nominal threshold
     and at thresholds that 1% to 50% of the rows meet, each row the kernel
@@ -402,7 +394,7 @@ def test_screen_keeps_the_vertex_rows(n_order):
 
 
 @pytest.mark.parametrize("mode", ["hn", "volume"])
-@pytest.mark.parametrize("n_order", range(1, 9))
+@pytest.mark.parametrize("n_order", [1, 2])
 def test_moduli_stage_keeps_every_row_the_screen_keeps(mode, n_order):
     """On a 2x inflated box, at the thresholds of
     test_screen_keeps_every_row_at_or_below_the_threshold, the moduli stage
@@ -433,29 +425,27 @@ def test_moduli_stage_keeps_every_row_the_screen_keeps(mode, n_order):
     assert montecarlo._moduli_may_hit(bad, lead, xi).tolist() == [True, True]
 
 
-@pytest.mark.parametrize("n_order", range(2, 9))
+@pytest.mark.parametrize("n_order", [2])
 def test_hn_screen_bounds_the_coefficients_the_kernel_solves(monkeypatch, n_order):
     """The hn screen forms q with the scalar lead 1, the kernel from rows
     that end in a column of ones, and every |q_k| agrees bit for bit: the
     screen's bound needs no margin for q's rounding."""
     v = _points(_chunk_generator(3, 0), 500, bounding_radii(n_order, 1.5))
     solved = []
-    batch_roots = measure._batch_roots
+    closed_form_roots = measure._closed_form_roots
 
-    def recording(coeffs, tol):
+    def recording(coeffs):
         solved.append(coeffs)
-        return batch_roots(coeffs, tol)
+        return closed_form_roots(coeffs)
 
-    monkeypatch.setattr(measure, "_batch_roots", recording)
+    monkeypatch.setattr(measure, "_closed_form_roots", recording)
     mu_rec_batch(np.concatenate([v, np.ones((len(v), 1))], axis=1), 1e-9)
     screened = np.abs(measure.y_coeffs(v, 1.0))
     assert screened[:, :-1].tobytes() == np.abs(solved[0])[:, :-1].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["hn", "volume"])
-@pytest.mark.parametrize(
-    "n_order", [1, 2, 3] + [pytest.param(n, marks=pytest.mark.slow) for n in (4, 5)]
-)
+@pytest.mark.parametrize("n_order", [1, 2])
 def test_screen_keeps_every_tally(monkeypatch, mode, n_order):
     """Hits and rejections against the run where every sample reaches the
     kernel, for seeds 0-9 on a partial last block, and on two chunks that
@@ -471,23 +461,6 @@ def test_screen_keeps_every_tally(monkeypatch, mode, n_order):
             yield mc_hN(n_order, 1.5, 70_000, seed=10, workers=2)
         else:
             yield mc_volume(n_order, 70_000, seed=10, workers=2)
-
-    screened = list(runs())
-    _screen_off(monkeypatch)
-    assert [_unscreened(est) for est in screened] == list(runs())
-
-
-def test_screen_keeps_the_order_three_threshold_tallies(monkeypatch):
-    """The thresholds of test_order_three_tallies, which 10% to 90% of the
-    box meets."""
-    radii = bounding_radii(3, 1.5)
-    vol_radii = np.append(bounding_radii(3, 1.0), 1.0)
-
-    def runs():
-        for threshold in (17.0, 25.0, 34.0):
-            yield montecarlo._box_estimate(radii, 1.0, threshold, 10_000, 7, 1)
-        for threshold in (11.5, 17.0, 22.5):
-            yield montecarlo._box_estimate(vol_radii, None, threshold, 10_000, 7, 1)
 
     screened = list(runs())
     _screen_off(monkeypatch)
