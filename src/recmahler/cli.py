@@ -14,13 +14,14 @@ iteration happenstance.
 
 Exit status: 0 when every check passed, 1 when any check failed, 2 for
 malformed arguments (among them a flag above its cap in _CAPS: an order N
-above N_CAPS, mc's the box sampler's limit 2, a verify-entries index above
-ENTRY_INDEX_CAP, a measure --nodes above NODES_CAP; a measure coefficient
-vector above DEGREE_CAP or NODE_TERMS_CAP; a JSON true or false as a
-coefficient), 3 when a computation on valid input failed (a root solve that
-did not converge or whose coefficient ratio c_j/c_d overflows a double, a
-quadrature node on a zero of the integrand, a float value of h_N(xi) or of
-a Monte Carlo box volume that overflows a double).
+above N_CAPS, which for mc is the box sampler's limit of 2, a
+verify-entries index above ENTRY_INDEX_CAP, a measure --nodes above
+NODES_CAP; a measure coefficient vector above DEGREE_CAP or
+NODE_TERMS_CAP; a JSON true or false as a coefficient), 3 when a
+computation on valid input failed (a root solve that did not converge or
+whose coefficient ratio c_j/c_d overflows a double, a quadrature node on a
+zero of the integrand, a float value of h_N(xi) or of a Monte Carlo box
+volume that overflows a double).
 Exits 2 and 3 print one `error:` line to stderr.
 """
 
@@ -391,6 +392,9 @@ class _Usage(Exception):
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
 # its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.8 s at N = 500
 # and 1.1 s at N = 550); volume's value overflows from N = 618.
+# verify-det takes 0.78 s and 197 MB peak RSS at N = 250, rank-one 0.59 s
+# and 113 MB at N = 200 (1.07 s at verify-det N = 280, 0.99 s at rank-one
+# N = 240), both in-process; the N^2 residue maps set the memory.
 # mc stops at the box sampler's own limit, montecarlo.BOX_MAX_ORDER = 2:
 # from N = 3 the star body fills too small a share of the box (about 3e-8
 # at N = 3) for any practical sample count to score a hit.
@@ -400,8 +404,8 @@ class _Usage(Exception):
 N_CAPS = {
     "hn": 500,
     "volume": 500,
-    "verify-det": 100,
-    "rank-one": 64,
+    "verify-det": 250,
+    "rank-one": 200,
     "mc": montecarlo.BOX_MAX_ORDER,
     "table": 200,
     "jacobian-test": 7,

@@ -12,18 +12,19 @@ The central objects, all exact:
   (J, K) = (1, 3) integral, which direct quadrature shows equals
   +2*pi*(r^2 + r^-2); the reversed bracket gives the wrong sign there.
 
-* i_entry(J, K) = pi * sum_n c_n(J) c_n(K) * 2s/(s^2 - n^2): the (J, K)
-  moment of the two-sided radial kernel, a rational function of s with one
-  grade of pi.
-  Its inverse Mellin image hJK_closed is checked against hJK_quadrature,
-  the circle integral's exact trapezoid sum: a constant term in integers.
+* i_entry(J, K) = pi * sum_n a_n(J) a_n(K) * 2s/(s^2 - n^2): the (J, K)
+  moment of the two-sided radial kernel, taken from the integrand with no
+  coeff_c: a_n(J) is the w^n coefficient, n >= 1, of
+  (w - 1/w)(w + 1/w)^{J-1}.  hJK_closed builds its radial form from coeff_c
+  instead; verify-entries holds that to hJK_quadrature, the circle
+  integral's exact trapezoid sum, a constant term in integers.
 
 * det of the N x N moment matrix equals prod_{n<=N} 2*pi*s/(s^2 - n^2)
   exactly; h_product builds that product, and factorization_checks proves
-  the identity from I = C^T D C (below), with no elimination.  det_ratfun,
-  elimination over general RatFunPi entries, and det_double_sum, a
-  permutation-sum oracle, are the references it is tested against; the
-  acceptance suite holds the identity for N up to 8.
+  the identity from I = C^T D C (below), with no elimination.  I's side
+  comes from the integrand and C^T D C's from coeff_c, so the check proves
+  the c_n(J) expansion too.  det_ratfun (elimination) and det_double_sum
+  (a permutation sum) are the references it is tested against.
 
 * rho(N, n): residue of the Mellin transform hhat_N = H_N/(2s) at s = n,
 
@@ -46,10 +47,12 @@ The central objects, all exact:
 The factorization behind the determinant: the moment matrix is C^T D C
 with C the unitriangular integer matrix of c_n(J) and D the diagonal of
 2*pi*s/(s^2 - n^2), so det I = (det C)^2 det D = prod_n d_n.
-factorization_checks proves both halves off C's structure, with no
-elimination: each of the N^2 entries of C^T D C, built once per pair
-J <= K, is compared with I's as a residue map, and det C = 1 is the
-product of the diagonal of an upper triangular C.  The last diagonal
+factorization_checks proves both halves with no elimination: each entry
+of C^T D C, residues c_n(J) c_n(K) at +-n from coeff_c, is compared with
+I's, residues a_n(J) a_n(K) from the integrand, and det C = 1 is the
+product of the diagonal of an upper triangular C.  As a_n(n) = 1, the
+entries (n, J) force c_n(J) = c_n(n) a_n(J): the c_n(J) expansion, up to
+the sign of each row of C, which C^T D C cannot see.  The last diagonal
 entry is also reachable through a rank-one identity: any exact kernel
 vector psi of the first N-1 rows of C satisfies
 I psi = d_N (omega_N . psi) omega_N.  omega_psi_check gets psi from
@@ -110,35 +113,47 @@ def c_matrix(n_order: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _entry_residues(j: int, k: int) -> dict[int, int]:
-    """Residue map of i_entry(J, K) / pi: c_n(J) c_n(K) at s = +n and -n,
-    since 2s/(s^2 - n^2) = 1/(s - n) + 1/(s + n)."""
+def _moment_map(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Residue map over pi of sum_n a_n b_n 2s/(s^2 - n^2), from two columns
+    {n: weight}: a_n b_n at s = +n and at s = -n, since 2s/(s^2 - n^2) =
+    1/(s - n) + 1/(s + n).  Poles of different n never collide."""
     out: dict[int, int] = {}
-    if (j - k) % 2:
-        return out
-    # c_n(J) vanishes unless n == J (mod 2)
-    for n in range(2 - j % 2, min(j, k) + 1, 2):
-        w = coeff_c(n, j) * coeff_c(n, k)
-        if w:
-            out[n] = out[-n] = w
+    for n, w in a.items():
+        if x := w * b.get(n, 0):
+            out[n] = out[-n] = x
     return out
 
 
+def _odd_binomial_terms(d: int) -> dict[int, int]:
+    """n -> coefficient of w^n, n >= 1, in (w - 1/w)(w + 1/w)^{d-1}: the
+    binomial row of d - 1 convolved with (1, -1).  The polynomial is odd in
+    w, so these terms fix the rest."""
+    row = [math.comb(d - 1, i) for i in range((d + 1) // 2)]
+    return {d - 2 * i: hi - lo for i, (hi, lo) in enumerate(zip(row, [0] + row))}
+
+
 def i_entry(j: int, k: int) -> RatFunPi:
-    """Moment i_entry(J, K) = pi * sum_n c_n(J) c_n(K) 2s/(s^2 - n^2)."""
+    """Moment i_entry(J, K) = pi * sum_n a_n b_n 2s/(s^2 - n^2), with a and
+    b the integrand's binomial terms of J and K (no coeff_c)."""
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
-    return ratfun_from_poles(1, _entry_residues(j, k))
+    a, b = _odd_binomial_terms(j), _odd_binomial_terms(k)
+    return ratfun_from_poles(1, _moment_map(a, b))
 
 
 def i_residue_maps(n_order: int) -> list[list[dict[int, int]]]:
-    """Residue maps of the moment matrix entries over pi, rows[J-1][K-1]."""
+    """Residue maps of the moment matrix entries over pi, rows[J-1][K-1],
+    from the integrand's binomial terms (no coeff_c): one map per pair
+    J <= K, and a copy of it below the diagonal."""
     if n_order < 1:
         raise IndexOutOfRange("matrix order must be at least 1")
-    return [
-        [_entry_residues(j, k) for k in range(1, n_order + 1)]
-        for j in range(1, n_order + 1)
-    ]
+    cols = [_odd_binomial_terms(j) for j in range(1, n_order + 1)]
+    rows = [[None] * n_order for _ in cols]
+    for j, a in enumerate(cols):
+        for k in range(j, n_order):
+            rows[j][k] = _moment_map(a, cols[k])
+            rows[k][j] = dict(rows[j][k])
+    return rows
 
 
 def i_matrix(n_order: int) -> tuple[tuple[RatFunPi, ...], ...]:
@@ -156,17 +171,12 @@ def i_matrix(n_order: int) -> tuple[tuple[RatFunPi, ...], ...]:
 def hJK_closed(j: int, k: int) -> LaurentPi:
     """Radial form of the (J, K) moment:
     2*pi * sum_n c_n(J) c_n(K) (r^{2n} + r^{-2n}); zero off parity.
-    It is the inverse Mellin image of i_entry(J, K)."""
+    Built from coeff_c, it is the inverse Mellin image of i_entry(J, K)
+    exactly when the c_n(J) expansion holds."""
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
-    return laurent_from_poles(1, _entry_residues(j, k))
-
-
-def _odd_binomial_terms(d: int) -> dict[int, int]:
-    """Exponent -> coefficient of (w - 1/w)(w + 1/w)^{d-1}: the binomial
-    row of d - 1 convolved with (1, -1)."""
-    row = [math.comb(d - 1, i) for i in range(d)]
-    return {d - 2 * i: hi - lo for i, (hi, lo) in enumerate(zip(row + [0], [0] + row))}
+    a, b = ({n: coeff_c(n, d) for n in range(2 - d % 2, d + 1, 2)} for d in (j, k))
+    return laurent_from_poles(1, _moment_map(a, b))
 
 
 def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
@@ -175,8 +185,9 @@ def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
     The integrand (rz - 1/(rz))(r/z - z/r)(rz + 1/(rz))^{J-1}(r/z + z/r)^{K-1}
     is a Laurent polynomial in z of degree J + K, so on more than 2(J + K)
     nodes the sum is its constant term, 2 pi sum_e a_e b_e r^(2e) with a, b
-    the binomial z^e coefficients of the halves (no coeff_c), rounded once by
-    LaurentPi.eval as hJK_closed is.  Off-parity pairs give exactly 0.0.
+    the binomial z^e coefficients of the halves (no coeff_c).  The terms e
+    and -e agree, so this is i_entry's residue map as a Laurent polynomial,
+    rounded once by LaurentPi.eval as hJK_closed is.  Off parity it is 0.0.
     """
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
@@ -184,8 +195,8 @@ def hJK_quadrature(j: int, k: int, r: float, nodes: int) -> float:
         raise ValueError(f"need more than {2 * (j + k)} nodes")
     if not 0 < r < math.inf:
         raise ValueError("radius must be positive and finite")
-    a, b = _odd_binomial_terms(j), _odd_binomial_terms(k)
-    return LaurentPi(1, {2 * e: 2 * c * b[e] for e, c in a.items() if e in b}).eval(r)
+    moments = _moment_map(_odd_binomial_terms(j), _odd_binomial_terms(k))
+    return laurent_from_poles(1, moments).eval(r)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +237,16 @@ def factorization_checks(
 def _first_ctdc_miss(c, entries) -> tuple[int, int] | None:
     """First (J, K) where I differs from C^T D C, or None.
 
-    (C^T D C)[J][K] / pi = sum_n c_n(J) c_n(K) (1/(s - n) + 1/(s + n)), and
-    the poles of different n never collide, so its residue map is
-    c_n(J) c_n(K) at +-n with no accumulation.  It is built once per pair
-    J <= K, from the nonzero entries of C's column J, and held to both
-    I[J][K] and I[K][J].
+    (C^T D C)[J][K] / pi = sum_n c_n(J) c_n(K) 2s/(s^2 - n^2), so its
+    residue map is _moment_map of C's columns J and K, built from every
+    nonzero entry of the c passed in.  It is built once per pair J <= K and
+    held to both I[J][K] and I[K][J].
     """
     size = len(c)
-    cols = [[(n, row[j]) for n, row in enumerate(c) if row[j]] for j in range(size)]
+    cols = [{n: row[j] for n, row in enumerate(c, 1) if row[j]} for j in range(size)]
     for j in range(size):
         for k in range(j, size):
-            ctdc = {}
-            for n, w in cols[j]:
-                if x := w * c[n][k]:
-                    ctdc[n + 1] = ctdc[-n - 1] = x
+            ctdc = _moment_map(cols[j], cols[k])
             if entries[j][k] != ctdc:
                 return j + 1, k + 1
             if entries[k][j] != ctdc:
@@ -465,8 +472,6 @@ def omega_psi_check(n_order: int) -> RankOneReport:
     for k in range(big_n - 2, -1, -1):
         psi[k] = -sum(c[k][j] * psi[j] for j in range(k + 1, big_n))
 
-    checks: list[tuple[str, bool, str]] = []
-
     entries = i_residue_maps(big_n)
     omega_last = c[big_n - 1]
     dot = sum(w * p for w, p in zip(omega_last, psi))
@@ -475,17 +480,9 @@ def omega_psi_check(n_order: int) -> RankOneReport:
         == _combine([(dot * omega_last[j], _d_residues(big_n))])
         for j in range(big_n)
     )
-    checks.append(
-        (
-            "rank-one action",
-            ok_rank_one,
-            "I psi == (2 pi s/(s^2 - N^2)) (omega_N . psi) omega_N, exact",
-        )
-    )
-
-    checks.extend(factorization_checks(c, entries))
-
-    return RankOneReport(big_n, tuple(Fraction(x) for x in psi), tuple(checks))
+    rank_one = "I psi == (2 pi s/(s^2 - N^2)) (omega_N . psi) omega_N, exact"
+    checks = (("rank-one action", ok_rank_one, rank_one),) + factorization_checks(c, entries)
+    return RankOneReport(big_n, tuple(Fraction(x) for x in psi), checks)
 
 
 def _d_residues(n: int) -> dict[int, int]:

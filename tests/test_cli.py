@@ -275,15 +275,16 @@ def test_verify_det(capsys):
 
 
 def _tamper_entry(monkeypatch, j, k, change):
-    true_residues = spectral._entry_residues
+    true_maps = cli.i_residue_maps
 
-    def tampered(jj, kk):
-        res = dict(true_residues(jj, kk))
-        if (jj, kk) == (j, k):
-            change(res)
-        return res
+    def tampered(n):
+        maps = true_maps(n)
+        res = dict(maps[j - 1][k - 1])
+        change(res)
+        maps[j - 1][k - 1] = res
+        return maps
 
-    monkeypatch.setattr(spectral, "_entry_residues", tampered)
+    monkeypatch.setattr(cli, "i_residue_maps", tampered)
 
 
 def _assert_verify_det_names(capsys, entry):
@@ -310,6 +311,29 @@ def test_verify_det_fails_on_an_entry_below_the_diagonal(capsys, monkeypatch):
     for the pair J <= K is held to both triangles."""
     _tamper_entry(monkeypatch, 3, 1, lambda res: res.update({1: res[1] + 1}))
     _assert_verify_det_names(capsys, (3, 1))
+
+
+def test_a_wrong_expansion_of_c_fails_verify_det_and_rank_one(capsys, monkeypatch):
+    """c_n(J) + 1 above the diagonal keeps C upper unitriangular, so only
+    the moment matrix, taken from the integrand, can tell it from the true
+    expansion: both commands fail the factorization and keep det C = 1."""
+    true_coeff = spectral.coeff_c
+
+    def wrong(n, j):
+        return true_coeff(n, j) + (n < j and (j - n) % 2 == 0)
+
+    monkeypatch.setattr(spectral, "coeff_c", wrong)
+    code, rep, _ = invoke_json(capsys, ["verify-det", "--N", "6"])
+    assert code == 1
+    (check,) = rep["checks"]
+    assert check["status"] == "fail"
+    assert check["detail"].startswith("factorization: I != C^T D C at (J, K) = ")
+    assert "unimodular C" not in check["detail"]
+    code, rep, _ = invoke_json(capsys, ["rank-one", "--N", "6"])
+    assert code == 1
+    status = {c["name"]: c["status"] for c in rep["checks"]}
+    assert status["factorization"] == "fail"
+    assert status["unimodular C"] == "pass"
 
 
 def _verify_det_determinant(capsys, n):
@@ -511,8 +535,8 @@ ERROR_DIGESTS = {
     ("measure", "--coeffs", "[0, 0]"): (2, "40e3c057f770c1b426e2918fa6fc4d5a0671be9e7aebf855f8c25ff6d59e5ff0"),
     ("hn", "--N", "501"): (2, "7b41d46f7d05aed23964fb73af137e5d72ee351695bb581921d046eed5bd00c6"),
     ("volume", "--N", "501"): (2, "0a1fb7164be8b9017718cb426fd87ed655d8749e876008229b5fc0fa9ff2aa2c"),
-    ("verify-det", "--N", "101"): (2, "085aef5f27400080df5dd93f63b6985a3da8c283d3edbcaa0a00d9a5e4265f57"),
-    ("rank-one", "--N", "65"): (2, "d2feb13bdab2002a891f70ea4b1562ebded33b3b2ba7ef661b069b93071a43c8"),
+    ("verify-det", "--N", "251"): (2, "f5ed316e02477df8b04e5c148c9256619cc0c03f3eb78d2bd7cd6dbcba4c7338"),
+    ("rank-one", "--N", "201"): (2, "a65c308381e2a64c48438fd8b0072eeb22e69df0449fba603d062b728ebab72a"),
     ("mc", "--mode", "volume", "--N", "9"): (2, "93f51993722242ab364fdb72be06da9184512282edb742497a324b6b5f18e552"),
     ("mc", "--mode", "volume", "--N", "3"): (2, "d9398b6e30a6bbc263be73ea1d61bef24adbc1e29c3d161a806ab170b686bae9"),
     ("mc", "--mode", "hn", "--N", "3", "--xi", "1.5"): (2, "d9398b6e30a6bbc263be73ea1d61bef24adbc1e29c3d161a806ab170b686bae9"),

@@ -275,11 +275,24 @@ def test_i_residue_maps_build_i_matrix():
 
 
 def test_factorization_checks_pass_to_order_20():
-    for n in range(1, 21):
+    for n in [*range(1, 21), 64]:
         assert factorization_checks(c_matrix(n), i_residue_maps(n)) == (
             ("factorization", True, "I == C^T D C entry by entry, exact"),
             ("unimodular C", True, "det C = 1, expected 1"),
         )
+
+
+def test_moment_matrix_is_built_without_coeff_c(monkeypatch):
+    """I, its entries and the trapezoid sum come from the integrand alone,
+    so the factorization holds coeff_c to an independent derivation."""
+
+    def unused(n, j):
+        raise AssertionError("coeff_c called")
+
+    monkeypatch.setattr(spectral, "coeff_c", unused)
+    assert len(i_residue_maps(12)) == 12
+    assert not i_entry(5, 7).is_zero
+    assert hJK_quadrature(5, 7, 1.1, 64) > 0
 
 
 @pytest.mark.parametrize(
@@ -569,15 +582,16 @@ def test_rank_one_identity_by_rational_functions():
 def test_omega_psi_detects_a_wrong_entry(monkeypatch):
     """A residue map one unit off at I[1][1] must fail both the rank-one
     and the factorization checks."""
-    true_residues = spectral._entry_residues
+    true_maps = spectral.i_residue_maps
 
-    def tampered(j, k):
-        res = dict(true_residues(j, k))
-        if (j, k) == (1, 1):
-            res[1] += 1
-        return res
+    def tampered(n):
+        maps = true_maps(n)
+        res = dict(maps[0][0])
+        res[1] += 1
+        maps[0][0] = res
+        return maps
 
-    monkeypatch.setattr(spectral, "_entry_residues", tampered)
+    monkeypatch.setattr(spectral, "i_residue_maps", tampered)
     verdict = {name: ok for name, ok, _ in omega_psi_check(3).checks}
     assert verdict == {
         "rank-one action": False,
@@ -589,15 +603,16 @@ def test_omega_psi_detects_a_wrong_entry(monkeypatch):
 def test_omega_psi_checks_both_triangles_of_the_moment_matrix(monkeypatch):
     """The factorization map is built once per pair J <= K; a wrong entry
     below the diagonal alone, I[3][1], must still fail it, and be named."""
-    true_residues = spectral._entry_residues
+    true_maps = spectral.i_residue_maps
 
-    def tampered(j, k):
-        res = dict(true_residues(j, k))
-        if (j, k) == (3, 1):
-            res[1] += 1
-        return res
+    def tampered(n):
+        maps = true_maps(n)
+        res = dict(maps[2][0])
+        res[1] += 1
+        maps[2][0] = res
+        return maps
 
-    monkeypatch.setattr(spectral, "_entry_residues", tampered)
+    monkeypatch.setattr(spectral, "i_residue_maps", tampered)
     checks = {name: (ok, detail) for name, ok, detail in omega_psi_check(3).checks}
     assert checks["factorization"] == (False, "I != C^T D C at (J, K) = (3, 1)")
 
