@@ -12,12 +12,12 @@ are printed with 15 significant digits.  Reports for identical invocations
 are byte-identical: nothing in here depends on time, machine, or dict
 iteration happenstance.
 
-Exit status: 0 when every check passed, 1 when any check failed, 2 for
-malformed arguments (among them a flag above its cap in _CAPS: an order N
-above N_CAPS, which for mc is the box sampler's limit of 2, a
-verify-entries index above ENTRY_INDEX_CAP, a measure --nodes above
-NODES_CAP; a measure coefficient vector above DEGREE_CAP or
-NODE_TERMS_CAP; a JSON true or false as a coefficient), 3 when a
+Exit status: 0 when every check passed, 1 when any check failed (for
+measure: the roots do not explain the polynomial's values on the circle),
+2 for malformed arguments (among them a flag above its cap in _CAPS: an
+order N above N_CAPS, which for mc is the box sampler's limit of 2, a
+verify-entries index above ENTRY_INDEX_CAP; a measure coefficient vector
+above DEGREE_CAP; a JSON true or false as a coefficient), 3 when a
 computation on valid input failed (a root solve that did not converge or
 whose coefficient ratio c_j/c_d overflows a double, a quadrature node on a
 zero of the integrand, a float value of h_N(xi) or of a Monte Carlo box
@@ -44,7 +44,7 @@ from .exact import (
     ratfun_eval_exact,
     ratfun_to_lists,
 )
-from .measure import find_roots, mahler_quadrature
+from .measure import QUADRATURE_NODES, find_roots, jensen_quadrature, mahler_quadrature
 from .spectral import (
     c_matrix,
     factorization_checks,
@@ -130,21 +130,17 @@ def _cmd_measure(args) -> int:
         with open(args.coeffs_file, "r", encoding="utf-8") as fh:
             text = fh.read()
     coeffs = _parse_coeff_vector(text)
-    size = coeffs.size
-    for what, value, cap in (
-        (f"degree {size - 1}", size - 1, DEGREE_CAP),
-        (f"--nodes {args.nodes} times {size} coefficients", args.nodes * size, NODE_TERMS_CAP),
-    ):
-        if value > cap:
-            raise ValueError(f"{what} is above the cap of {cap} for measure")
+    if coeffs.size - 1 > DEGREE_CAP:
+        raise ValueError(f"degree {coeffs.size - 1} is above the cap of {DEGREE_CAP} for measure")
     rs = find_roots(coeffs, args.tol)
     by_roots = rs.mahler(coeffs[-1])
-    by_quad = mahler_quadrature(coeffs, args.nodes)
-    rel = abs(by_roots - by_quad) / max(by_roots, by_quad)
+    by_quad = mahler_quadrature(coeffs, QUADRATURE_NODES)
+    q_n = jensen_quadrature(rs.roots, coeffs[-1], QUADRATURE_NODES)
+    rel = abs(q_n - by_quad) / max(q_n, by_quad)
     return _emit(args, {
         "inputs": {
             "coeffs": [[c.real, c.imag] for c in coeffs],
-            "nodes": args.nodes,
+            "nodes": QUADRATURE_NODES,
             "tol": args.tol,
         },
         "numeric_results": {
@@ -156,7 +152,8 @@ def _cmd_measure(args) -> int:
             _check(
                 "method-agreement",
                 rel <= 1e-6,
-                f"relative gap {rel:.3e}, tolerance 1e-06",
+                f"quadrature vs |c_d| prod |1 + root^n|^(1/n) of the roots at "
+                f"n = {QUADRATURE_NODES}: relative gap {rel:.3e}, tolerance 1e-06",
             )
         ],
     })
@@ -392,9 +389,9 @@ class _Usage(Exception):
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
 # its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.8 s at N = 500
 # and 1.1 s at N = 550); volume's value overflows from N = 618.
-# verify-det takes 0.78 s and 197 MB peak RSS at N = 250, rank-one 0.59 s
-# and 113 MB at N = 200 (1.07 s at verify-det N = 280, 0.99 s at rank-one
-# N = 240), both in-process; the N^2 residue maps set the memory.
+# verify-det takes 0.78 s and 146 MB peak RSS at N = 250, rank-one 0.59 s
+# and 87 MB at N = 200 (1.07 s at verify-det N = 280, 0.99 s at rank-one
+# N = 240), both in-process; the N(N + 1)/2 residue maps set the memory.
 # mc stops at the box sampler's own limit, montecarlo.BOX_MAX_ORDER = 2:
 # from N = 3 the star body fills too small a share of the box (about 3e-8
 # at N = 3) for any practical sample count to score a hit.
@@ -416,10 +413,6 @@ N_CAPS = {
 # 0.01 s on 2 cores.
 ENTRY_INDEX_CAP = 215
 
-# Largest --nodes `measure` accepts: 2^22 nodes take 0.34-0.40 s and 193 MB
-# peak RSS on 2 cores (the default 4096 takes 33 MB), about 40 bytes a node.
-NODES_CAP = 1 << 22
-
 # Largest degree `measure` accepts, checked once the coefficients are
 # parsed.  Each Aberth sweep holds (1, d, d) complex temporaries, 16 d^2
 # bytes, for up to 160 sweeps.  At d = 384 every tested family finished
@@ -428,19 +421,12 @@ NODES_CAP = 1 << 22
 # took 2.0 s and the cluster 1.7 s.
 DEGREE_CAP = 384
 
-# Largest --nodes times number of coefficients `measure` accepts: the caps
-# above alone let degree 384 at 2^22 nodes take 8.1 s.  At this one, degree
-# 31 at 2^22 nodes took 0.66-0.98 s and degree 384 at 348617 nodes 0.59-0.70
-# s (one run 1.7 s) on 2 cores, Gaussian coefficients.
-NODE_TERMS_CAP = 1 << 27
-
 # Largest number of xi steps `table` accepts.
 TABLE_MAX_STEPS = 10**6
 
 # Every capped flag, by subcommand; run() checks them in this order.
 _CAPS = {command: {"N": cap} for command, cap in N_CAPS.items()}
 _CAPS["verify-entries"] = {"J": ENTRY_INDEX_CAP, "K": ENTRY_INDEX_CAP}
-_CAPS["measure"] = {"nodes": NODES_CAP}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = m.add_mutually_exclusive_group(required=True)
     g.add_argument("--coeffs", help="JSON array of [re, im] pairs, ascending")
     g.add_argument("--coeffs-file", help="file containing the same JSON")
-    m.add_argument("--nodes", type=int, default=4096)
     m.add_argument("--tol", type=float, default=1e-10)
     m.set_defaults(fn=_cmd_measure)
 

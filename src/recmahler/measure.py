@@ -8,10 +8,10 @@ Two independent evaluation routes are kept side by side:
   points of the unit circle (the defining log-integral, midpoint rule).
 
 The root route is the workhorse: it is fast and insensitive to roots near
-the circle.  The quadrature route converges geometrically in the node count
-with rate set by the distance of the nearest root to the circle, so it is
-only trustworthy for root-screened inputs, where it provides a genuinely
-independent cross-check.
+the circle.  The quadrature nears the measure only as fast as the nearest
+root's distance to the circle allows, but its n-node sum is exactly Q_n of
+the roots at every n (jensen_quadrature), so it is checked against Q_n of
+the computed roots, which holds them to the polynomial's circle values.
 
 Root finding (find_roots) is a simultaneous iteration (Ehrlich-Aberth
 corrections) over all roots at once, started from the companion matrix's
@@ -71,6 +71,8 @@ Y_MAX_ORDER = 8
 # are formed: complex division by 1e-320 overflows, and so do the circle
 # values of a quadratic with coefficients 1e308.
 _SCALE_EXPONENT = 500
+# mahler_quadrature's default node count, and the one `measure` uses
+QUADRATURE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ def _circle_nodes(nodes: int) -> np.ndarray:
     return z
 
 
-def mahler_quadrature(coeffs, nodes: int = 4096) -> float:
+def mahler_quadrature(coeffs, nodes: int = QUADRATURE_NODES) -> float:
     """Mahler measure via the defining integral of log|f| over the circle.
 
     Midpoint nodes t_j = (j + 1/2)/nodes keep t = 0 out of the stencil.
@@ -295,6 +297,20 @@ def mahler_quadrature(coeffs, nodes: int = 4096) -> float:
     if np.any(mags == 0.0):
         raise NodeOnZero("integrand vanished at a quadrature node")
     return float(np.ldexp(np.exp(np.mean(np.log(mags))), e))
+
+
+def jensen_quadrature(roots, leading, nodes: int = QUADRATURE_NODES) -> float:
+    """Q_n = |leading| prod |1 + root^n|^(1/n), exactly mahler_quadrature's
+    n-node value for the polynomial with these roots and top coefficient:
+    the midpoint nodes are the roots of z^n = -1.  Q_n tends to the measure
+    as n grows.  A root outside the circle enters as log|root| plus
+    (1/n) log|1 + root^-n|, through root |root|^-2, the conjugate of root^-1.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    outer = np.maximum(1.0, np.abs(roots))
+    with np.errstate(divide="ignore"):
+        log_gap = np.log(np.abs(1.0 + (roots / outer / outer) ** nodes)).sum() / nodes
+    return float(abs(leading) * np.prod(outer) * np.exp(log_gap))
 
 
 def _aligned_sqrt(d: np.ndarray, ref: np.ndarray) -> np.ndarray:

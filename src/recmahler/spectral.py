@@ -144,15 +144,14 @@ def i_entry(j: int, k: int) -> RatFunPi:
 def i_residue_maps(n_order: int) -> list[list[dict[int, int]]]:
     """Residue maps of the moment matrix entries over pi, rows[J-1][K-1],
     from the integrand's binomial terms (no coeff_c): one map per pair
-    J <= K, and a copy of it below the diagonal."""
+    J <= K, shared by rows[K-1][J-1], so the maps are not to be mutated."""
     if n_order < 1:
         raise IndexOutOfRange("matrix order must be at least 1")
     cols = [_odd_binomial_terms(j) for j in range(1, n_order + 1)]
     rows = [[None] * n_order for _ in cols]
     for j, a in enumerate(cols):
         for k in range(j, n_order):
-            rows[j][k] = _moment_map(a, cols[k])
-            rows[k][j] = dict(rows[j][k])
+            rows[j][k] = rows[k][j] = _moment_map(a, cols[k])
     return rows
 
 

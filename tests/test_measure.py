@@ -16,6 +16,7 @@ from recmahler.errors import (
 from recmahler.measure import (
     aberth_batch,
     find_roots,
+    jensen_quadrature,
     mahler_from_roots,
     mahler_quadrature,
     mu_rec,
@@ -220,6 +221,23 @@ def test_mahler_quadrature_node_on_zero():
     x0 = np.exp(2j * np.pi * (0.5 / 16))
     with pytest.raises(NodeOnZero):
         mahler_quadrature([-x0, 1.0], nodes=16)
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 4096])
+def test_jensen_quadrature_is_the_midpoint_sum(nodes):
+    """The midpoint nodes are the roots of z^n = -1, so the n-node sum is
+    |c_d| prod |1 + root^n|^(1/n) at every n, converged or not: the pair
+    0.95, 1/0.95 misses its measure by 4.7% at 16 nodes."""
+    beta = 0.95 + 1.0 / 0.95
+    rng = np.random.default_rng(29)
+    for c in ([1.0, -beta, 1.0], random_poly(rng, 12), random_poly(rng, 64)):
+        c = np.asarray(c, dtype=complex)
+        q = jensen_quadrature(find_roots(c).roots, c[-1], nodes)
+        assert q == pytest.approx(mahler_quadrature(c, nodes), rel=1e-12)
+    assert jensen_quadrature([0.95, 1 / 0.95], 1.0, 16) == pytest.approx(
+        mahler_quadrature([1.0, -beta, 1.0], 16), rel=1e-12
+    )
+    assert mahler_quadrature([1.0, -beta, 1.0], 16) > 1.04 * mahler_from_roots([1.0, -beta, 1.0])
 
 
 def test_methods_agree_on_screened_random_polys():

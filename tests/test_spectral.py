@@ -302,7 +302,8 @@ def test_moment_matrix_is_built_without_coeff_c(monkeypatch):
 )
 def test_factorization_checks_name_the_first_wrong_entry(entry, change):
     maps = i_residue_maps(4)
-    maps[entry[0] - 1][entry[1] - 1].update(change)
+    j, k = entry[0] - 1, entry[1] - 1
+    maps[j][k] = {**maps[j][k], **change}
     checks = factorization_checks(c_matrix(4), maps)
     assert checks[0] == ("factorization", False, f"I != C^T D C at (J, K) = {entry}")
     assert checks[1][1] is True
