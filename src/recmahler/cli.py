@@ -12,6 +12,12 @@ are printed with 15 significant digits.  Reports for identical invocations
 are byte-identical: nothing in here depends on time, machine, or dict
 iteration happenstance.
 
+Only measure, mc and jacobian-test compute in floating point arrays: they
+import NumPy and the numeric layers (measure, montecarlo, symfun) when they
+run, and look their names up on those modules.  Importing this module loads
+errors, exact and spectral alone, so hn, volume, verify-det, verify-entries,
+rank-one and table run without NumPy.
+
 Exit status: 0 when every check passed, 1 when any check failed (for
 measure: the roots do not explain the polynomial's values on the circle),
 2 for malformed arguments (among them a flag above its cap in _CAPS: an
@@ -33,10 +39,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import montecarlo
 from .errors import ComputationFailed, RecMahlerError
 from .exact import (
     PiScaled,
@@ -44,7 +48,6 @@ from .exact import (
     ratfun_eval_exact,
     ratfun_to_lists,
 )
-from .measure import QUADRATURE_NODES, find_roots, jensen_quadrature, mahler_quadrature
 from .spectral import (
     c_matrix,
     factorization_checks,
@@ -60,11 +63,9 @@ from .spectral import (
     omega_psi_check,
     volume_exact,
 )
-from .symfun import (
-    coefficient_map,
-    jacobian_real_factor,
-    numeric_jacobian,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _fmt(value):
@@ -101,6 +102,8 @@ def _emit(args, sections: dict) -> int:
 
 
 def _parse_coeff_vector(text: str) -> np.ndarray:
+    import numpy as np
+
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array")
@@ -122,6 +125,8 @@ def _parse_coeff_vector(text: str) -> np.ndarray:
 
 
 def _cmd_measure(args) -> int:
+    from . import measure
+
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     if args.coeffs is not None:
@@ -132,15 +137,16 @@ def _cmd_measure(args) -> int:
     coeffs = _parse_coeff_vector(text)
     if coeffs.size - 1 > DEGREE_CAP:
         raise ValueError(f"degree {coeffs.size - 1} is above the cap of {DEGREE_CAP} for measure")
-    rs = find_roots(coeffs, args.tol)
+    nodes = measure.QUADRATURE_NODES
+    rs = measure.find_roots(coeffs, args.tol)
     by_roots = rs.mahler(coeffs[-1])
-    by_quad = mahler_quadrature(coeffs, QUADRATURE_NODES)
-    q_n = jensen_quadrature(rs.roots, coeffs[-1], QUADRATURE_NODES)
+    by_quad = measure.mahler_quadrature(coeffs, nodes)
+    q_n = measure.jensen_quadrature(rs.roots, coeffs[-1], nodes)
     rel = abs(q_n - by_quad) / max(q_n, by_quad)
     return _emit(args, {
         "inputs": {
             "coeffs": [[c.real, c.imag] for c in coeffs],
-            "nodes": QUADRATURE_NODES,
+            "nodes": nodes,
             "tol": args.tol,
         },
         "numeric_results": {
@@ -153,7 +159,7 @@ def _cmd_measure(args) -> int:
                 "method-agreement",
                 rel <= 1e-6,
                 f"quadrature vs |c_d| prod |1 + root^n|^(1/n) of the roots at "
-                f"n = {QUADRATURE_NODES}: relative gap {rel:.3e}, tolerance 1e-06",
+                f"n = {nodes}: relative gap {rel:.3e}, tolerance 1e-06",
             )
         ],
     })
@@ -271,6 +277,10 @@ def _cmd_rank_one(args) -> int:
 
 
 def _cmd_jacobian_test(args) -> int:
+    import numpy as np
+
+    from . import symfun
+
     if args.N < 1:
         raise ValueError(f"--N must be at least 1, got {args.N}")
     if args.points < 1:
@@ -286,11 +296,11 @@ def _cmd_jacobian_test(args) -> int:
         radius = rng.uniform(0.5, 2.0, size=n)
         angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
         alpha = radius * np.exp(1j * angle)
-        formula = jacobian_real_factor(alpha)
+        formula = symfun.jacobian_real_factor(alpha)
         if formula < 1e-6:
             continue  # too close to a critical point for a relative check
         produced += 1
-        jac = numeric_jacobian(coefficient_map, alpha, args.step)
+        jac = symfun.numeric_jacobian(symfun.coefficient_map, alpha, args.step)
         fd = float(np.linalg.det(jac))
         rel = abs(fd - formula) / abs(formula)
         ok_all = ok_all and rel <= 1e-5
@@ -313,6 +323,8 @@ def _cmd_jacobian_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import montecarlo
+
     if args.mode == "hn":
         if args.xi is None:
             raise _Usage("--xi is required for --mode hn")
@@ -394,7 +406,9 @@ class _Usage(Exception):
 # N = 240), both in-process; the N(N + 1)/2 residue maps set the memory.
 # mc stops at the box sampler's own limit, montecarlo.BOX_MAX_ORDER = 2:
 # from N = 3 the star body fills too small a share of the box (about 3e-8
-# at N = 3) for any practical sample count to score a hit.
+# at N = 3) for any practical sample count to score a hit.  The value is
+# written out because montecarlo imports NumPy, which the exact subcommands
+# never load; a test holds the two equal.
 # jacobian-test stops where central differences still resolve the 2N x 2N
 # determinant to its 1e-5 tolerance: every seed from 0 to 99 passes at
 # N = 7, and 6 of them fail at N = 8.
@@ -403,7 +417,7 @@ N_CAPS = {
     "volume": 500,
     "verify-det": 250,
     "rank-one": 200,
-    "mc": montecarlo.BOX_MAX_ORDER,
+    "mc": 2,
     "table": 200,
     "jacobian-test": 7,
 }

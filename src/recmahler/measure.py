@@ -243,7 +243,8 @@ def find_roots(coeffs, tol: float = 1e-10) -> RootSet:
     roots, residual = np.zeros(k, dtype=complex), 0.0
     if arr.size - k > 1:
         rest = arr[k:]
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the scaling can flush a tiny leading coefficient to 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ratios = rest[:-1] / rest[-1]
         overflow = np.flatnonzero(~np.isfinite(ratios))
         if overflow.size:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import recmahler
-from recmahler import cli, exact, measure, spectral
+from recmahler import cli, exact, measure, montecarlo, spectral
 from recmahler.cli import N_CAPS, run
 from recmahler.errors import NoConvergence
 from recmahler.exact import parse_pi_scaled, ratfun_from_lists
@@ -599,6 +599,11 @@ def test_error_paths_match_golden_digests(capsys, monkeypatch, argv):
 REQUIRED_ARGS = {"mc": ["--mode", "volume"]}
 
 
+def test_mc_cap_is_the_box_sampler_limit():
+    """cli writes the cap out so that its import loads no NumPy."""
+    assert N_CAPS["mc"] == montecarlo.BOX_MAX_ORDER
+
+
 @pytest.mark.parametrize("command", sorted(N_CAPS))
 def test_order_above_the_cap_exits_two(capsys, command):
     cap = N_CAPS[command]
@@ -652,8 +657,8 @@ def test_degree_above_the_cap_exits_two_before_any_solve(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a polynomial above the degree cap")
 
-    monkeypatch.setattr(cli, "find_roots", no_solve)
-    monkeypatch.setattr(cli, "mahler_quadrature", no_solve)
+    monkeypatch.setattr(measure, "find_roots", no_solve)
+    monkeypatch.setattr(measure, "mahler_quadrature", no_solve)
     code, out, err = invoke(capsys, ["measure", "--coeffs", OVER_DEGREE_CAP])
     assert code == 2
     assert out == ""
@@ -688,7 +693,14 @@ def test_node_on_zero_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
-    "coeffs, ratio", [("[1e10, 1, 1e-300]", "c_0/c_2"), ("[1, 0, 0, 0, 1e-320]", "c_0/c_4")]
+    "coeffs, ratio",
+    [
+        ("[1e10, 1, 1e-300]", "c_0/c_2"),
+        ("[1, 0, 0, 0, 1e-320]", "c_0/c_4"),
+        # the scaling by 2^-997 flushes the leading 1e-300 to 0
+        ("[1e300, 1e-300]", "c_0/c_1"),
+        ("[1e300, 1, 1e-300]", "c_0/c_2"),
+    ],
 )
 def test_overflowing_coefficient_ratio_exits_three(capsys, coeffs, ratio):
     """c_0/c_d overflows, so the polynomial has no monic form in doubles:
@@ -751,7 +763,7 @@ def test_no_convergence_exits_three(capsys, monkeypatch):
     def stalled(coeffs, tol):
         raise NoConvergence("residual 1.0e-03 above tolerance 1.0e-10")
 
-    monkeypatch.setattr(cli, "find_roots", stalled)
+    monkeypatch.setattr(measure, "find_roots", stalled)
     code, out, err = invoke(capsys, ["measure", "--coeffs", "[1, 2.5, 1]"])
     assert code == 3
     assert out == ""
@@ -820,15 +832,51 @@ def test_floats_are_printed_at_15_digits(capsys):
     assert val == 6.57973626739291
 
 
+def _fresh_python(code, *args):
+    """Run code with args in a new interpreter that imports this recmahler."""
+    src = Path(recmahler.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_importing_the_package_leaves_mpmath_unloaded():
     """numpy is the only runtime dependency: mpmath serves the tests alone."""
-    src = Path(recmahler.__file__).resolve().parent.parent
-    code = "import sys, recmahler, recmahler.cli; assert 'mpmath' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _fresh_python("import sys, recmahler, recmahler.cli; assert 'mpmath' not in sys.modules")
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """The exact subcommands compute with Fractions: NumPy and the numeric
+    layers load only in the subcommands that call them."""
+    done = _fresh_python("import sys, recmahler.cli; assert 'numpy' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hn", "--N", "3", "--xi", "1.5"],
+        ["volume", "--N", "2"],
+        ["verify-det", "--N", "3"],
+        ["verify-entries", "--J", "2", "--K", "3"],
+        ["rank-one", "--N", "3"],
+        ["table", "--N", "2", "--stop", "1.5", "--step", "0.1"],
+    ],
+)
+def test_exact_subcommands_run_without_numpy(capsys, argv):
+    """With NumPy blocked from import, each exact subcommand prints the bytes
+    it prints in-process."""
+    script = (
+        "import sys; sys.modules['numpy'] = None; import recmahler.cli; "
+        "sys.exit(recmahler.cli.run(sys.argv[1:]))"
+    )
+    done = _fresh_python(script, *argv)
+    assert done.returncode == 0, done.stderr
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    assert done.stdout == out
 
 
 def test_unknown_command_exits_two(capsys):
