@@ -5,9 +5,10 @@ The public surface is the submodules, imported by name (`from recmahler
 import spectral`); the package itself re-exports nothing, so importing it
 loads no layer and no NumPy.  By layer:
 
-* exact: PiScaled, PolyQ, RatFunPi, LaurentPi, partial_fractions,
-  laurent_mellin, ratfun_from_poles -- exact arithmetic with a symbolic pi
-  grade, one type per concept (RatFunPi is the one rational function type);
+* exact: PiScaled, RatFunPi, LaurentPi, partial_fractions, laurent_mellin
+  -- exact arithmetic with a symbolic pi grade, one type per concept
+  (RatFunPi, a sum of simple integer poles, is the one rational function
+  type);
 * spectral: moment matrix, exact determinant identity (proved from the
   factorization I = C^T D C), residues rho, the closed distribution h_N,
   star body volume;

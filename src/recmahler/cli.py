@@ -46,15 +46,14 @@ from .exact import (
     PiScaled,
     laurent_to_map,
     ratfun_eval_exact,
-    ratfun_to_lists,
 )
 from .spectral import (
+    _power_over_pairs,
     c_matrix,
     factorization_checks,
     h_closed,
     h_eval,
     h_hat,
-    h_product,
     h_values,
     hJK_closed,
     hJK_quadrature,
@@ -177,7 +176,7 @@ def _cmd_hn(args) -> int:
     return _emit(args, {
         "exact_results": {
             "h_coeffs": {str(e): str(t) for e, t in h.terms.items()},
-            "mellin_transform": None if miss is not None else ratfun_to_lists(h_hat(n)),
+            "mellin_transform": None if miss is not None else _power_over_pairs(n, n - 1),
         },
         "numeric_results": numeric,
         "checks": [
@@ -221,7 +220,7 @@ def _cmd_verify_det(args) -> int:
         for name, ok, detail in factorization_checks(c_matrix(n), i_residue_maps(n))
         if not ok
     ]
-    prod = ratfun_to_lists(h_product(n))
+    prod = _power_over_pairs(n, n)
     return _emit(args, {
         "exact_results": {"determinant": None if failed else prod, "product_form": prod},
         "checks": [
@@ -399,11 +398,12 @@ class _Usage(Exception):
 
 # Largest order N each subcommand accepts, so that every accepted N
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
-# its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.8 s at N = 500
-# and 1.1 s at N = 550); volume's value overflows from N = 618.
-# verify-det takes 0.78 s and 146 MB peak RSS at N = 250, rank-one 0.59 s
-# and 87 MB at N = 200 (1.07 s at verify-det N = 280, 0.99 s at rank-one
-# N = 240), both in-process; the N(N + 1)/2 residue maps set the memory.
+# its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.51 s at N = 500
+# and 0.70 s at N = 550, volume 0.17 s at N = 500); volume's value
+# overflows from N = 618.  verify-det takes 0.51 s and 132 MB peak RSS at
+# N = 250, rank-one 0.44 s and 73 MB at N = 200 (0.77 s at verify-det
+# N = 280, 0.76 s at rank-one N = 240), all in-process; the N(N + 1)/2
+# residue maps set the memory.
 # mc stops at the box sampler's own limit, montecarlo.BOX_MAX_ORDER = 2:
 # from N = 3 the star body fills too small a share of the box (about 3e-8
 # at N = 3) for any practical sample count to score a hit.  The value is

@@ -19,19 +19,16 @@ class DivisionByZero(RecMahlerError, ZeroDivisionError):
 
 
 class PoleEvaluation(RecMahlerError):
-    """Numeric evaluation of a rational function at a zero of its denominator."""
+    """Evaluation of a rational function at one of its poles."""
 
 
 class RepeatedPole(RecMahlerError):
-    """Partial fractions requested for a denominator with a repeated root."""
+    """A rational function with a repeated pole where a sum of simple poles
+    is required."""
 
 
 class NonIntegerPole(RecMahlerError):
-    """Partial fractions requested for a denominator with a non-integer root."""
-
-
-class ImproperFraction(RecMahlerError):
-    """Partial fractions requested for numerator degree >= denominator degree."""
+    """A sum of simple poles built with a pole that is not an integer."""
 
 
 class OddExponent(RecMahlerError):

@@ -1,8 +1,7 @@
-"""Exact arithmetic tower, one type per concept: rationals graded by powers
-of pi (PiScaled), univariate polynomials over Q (PolyQ), reduced rational
-functions over Q with one pi grade (RatFunPi), even-exponent Laurent
-polynomials with one pi grade (LaurentPi), partial fractions over distinct
-integer poles, and the Laurent-to-Mellin term table.
+"""Exact arithmetic, one type per concept: rationals graded by powers of pi
+(PiScaled), sums of simple integer poles with one pi grade (RatFunPi),
+even-exponent Laurent polynomials with one pi grade (LaurentPi), and the
+Laurent-to-Mellin term table between the last two.
 
 pi is never evaluated here; it rides along as an integer grade on otherwise
 rational data.  Sums therefore only make sense between values of the same
@@ -33,11 +32,9 @@ from typing import Iterable, Mapping
 from .errors import (
     DivisionByZero,
     GradeMismatch,
-    ImproperFraction,
     NonIntegerPole,
     OddExponent,
     PoleEvaluation,
-    RepeatedPole,
     ZeroArgument,
 )
 
@@ -158,211 +155,44 @@ def parse_pi_scaled(text: str) -> PiScaled:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q
+# rational functions: sums of simple integer poles
 
 
-@dataclass(frozen=True, slots=True)
-class PolyQ:
-    """Univariate polynomial over Q, ascending coefficients, trailing zeros
-    trimmed so the zero polynomial is the empty tuple."""
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        cs = tuple(_as_fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyQ(tuple(out))
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, PolyQ):
-            if self.is_zero or other.is_zero:
-                return PolyQ()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return PolyQ(tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return PolyQ(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction x, numeric otherwise."""
-        if self.is_zero:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
-        """Exact long division: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.leading
-        if len(rem) - 1 < db:
-            return PolyQ(), self
-        quo = [Fraction(0)] * (len(rem) - db)
-        for k in range(len(rem) - 1 - db, -1, -1):
-            c = rem[db + k] / lead
-            quo[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return PolyQ(tuple(quo)), PolyQ(tuple(rem[:db]))
-
-    def monic(self) -> "PolyQ":
-        if self.is_zero:
-            return self
-        inv = 1 / self.leading
-        return PolyQ(tuple(c * inv for c in self.coeffs))
-
-    def subs_neg(self) -> "PolyQ":
-        """p(-s): flip the sign of the odd-degree coefficients."""
-        return PolyQ(
-            tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
-        )
-
-
-def _int_scaled(p: PolyQ) -> list[int]:
-    """Clear denominators: integer coefficient list, same roots."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in p.coeffs]
-
-
-def _primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return ints
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if ints[-1] < 0:
-        g = -g
-    return [c // g for c in ints]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of primitive integer polynomials (b nonzero)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if dr < db:
-            return r
-        lead = r[-1]
-        r = [lb * c for c in r]
-        for j in range(db + 1):
-            r[dr - db + j] -= lead * b[j]
-
-
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over Q via a primitive pseudo-remainder sequence over Z."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    ia = _primitive(_int_scaled(a))
-    ib = _primitive(_int_scaled(b))
-    if len(ia) < len(ib):
-        ia, ib = ib, ia
-    while ib:
-        ia, ib = ib, _primitive(_pseudo_rem(ia, ib))
-    return PolyQ(tuple(Fraction(c) for c in ia)).monic()
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RatFunPi:
-    """pi^pi_power * num / den, a rational function over Q with one pi grade.
+    """pi^pi_power * sum_n r_n / (s - n): simple poles at integers n with
+    rational residues r_n, one pi grade for the whole sum.
 
-    The grade is a single integer for the whole function, so sums of
-    mismatched grades are rejected; this is all the downstream algebra
-    (entry sums, determinants, Mellin images) ever needs.  num / den is
-    reduced and den is monic; zero is num = 0, den = 1 at grade 0.
-    Construct through make(); the bare constructor trusts its inputs.
+    Every rational function of the paper has this form (hhat_N, the
+    determinant product, d_n, the moment entries, every Mellin image), so
+    the residue map is the value itself: two are equal exactly when their
+    maps are.  Zero residues are dropped and the poles sorted; the zero
+    function is the empty map at grade 0.  A pole that is not an int raises
+    NonIntegerPole.
     """
 
     pi_power: int
-    num: PolyQ
-    den: PolyQ
+    residues: Mapping[int, Fraction]
 
-    @staticmethod
-    def make(pi_power: int, num: PolyQ, den: PolyQ) -> "RatFunPi":
-        """The reduced form: gcd cancelled, den monic, zero at grade 0."""
-        if den.is_zero:
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero:
-            return RatFunPi.zero()
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        inv = 1 / den.leading
-        return RatFunPi(pi_power, num * inv, den * inv)
-
-    @staticmethod
-    def from_coeffs(pi_power: int, num: Iterable, den: Iterable) -> "RatFunPi":
-        return RatFunPi.make(pi_power, PolyQ(tuple(num)), PolyQ(tuple(den)))
+    def __post_init__(self):
+        clean: dict[int, Fraction] = {}
+        for n, r in self.residues.items():
+            if not isinstance(n, int):
+                raise NonIntegerPole(f"pole {n!r} is not an integer")
+            r = _as_fraction(r)
+            if r != 0:
+                clean[n] = r
+        object.__setattr__(self, "residues", dict(sorted(clean.items())))
+        if not clean:
+            object.__setattr__(self, "pi_power", 0)
 
     @staticmethod
     def zero() -> "RatFunPi":
-        return RatFunPi(0, PolyQ(), PolyQ((1,)))
-
-    @staticmethod
-    def one() -> "RatFunPi":
-        return RatFunPi(0, PolyQ((1,)), PolyQ((1,)))
+        return RatFunPi(0, {})
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.residues
 
     def __add__(self, other: "RatFunPi") -> "RatFunPi":
         if not isinstance(other, RatFunPi):
@@ -375,9 +205,10 @@ class RatFunPi:
             raise GradeMismatch(
                 f"cannot add pi^{self.pi_power} and pi^{other.pi_power} functions"
             )
-        return RatFunPi.make(
-            self.pi_power, self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        out = dict(self.residues)
+        for n, r in other.residues.items():
+            out[n] = out.get(n, 0) + r
+        return RatFunPi(self.pi_power, out)
 
     def __sub__(self, other: "RatFunPi") -> "RatFunPi":
         if not isinstance(other, RatFunPi):
@@ -385,55 +216,38 @@ class RatFunPi:
         return self + (-other)
 
     def __neg__(self) -> "RatFunPi":
-        return RatFunPi(self.pi_power, -self.num, self.den)
+        return RatFunPi(self.pi_power, {n: -r for n, r in self.residues.items()})
 
     def __mul__(self, other):
-        if isinstance(other, RatFunPi):
-            return RatFunPi.make(
-                self.pi_power + other.pi_power, self.num * other.num, self.den * other.den
-            )
         if isinstance(other, (int, Fraction)):
-            # a nonzero scalar keeps num / den reduced and den monic
-            if other == 0:
-                return RatFunPi.zero()
-            return RatFunPi(self.pi_power, self.num * other, self.den)
+            return RatFunPi(self.pi_power, {n: r * other for n, r in self.residues.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, RatFunPi):
-            if other.is_zero:
-                raise DivisionByZero("division by the zero rational function")
-            return RatFunPi.make(
-                self.pi_power - other.pi_power, self.num * other.den, self.den * other.num
-            )
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by exact zero")
             return self * (1 / Fraction(other))
         return NotImplemented
 
-    def is_odd(self) -> bool:
-        """True when f(-s) == -f(s) exactly: num(-s) den(s) == -num(s) den(-s)."""
-        return self.num.subs_neg() * self.den == -(self.num * self.den.subs_neg())
-
-
-def ratfun_eval(f: RatFunPi, s0) -> float:
-    """Numeric value of f at rational s0, the exact value rounded once."""
-    return ratfun_eval_exact(f, s0).to_float()
-
 
 def ratfun_eval_exact(f: RatFunPi, s0) -> PiScaled:
-    """Exact value of f at rational s0, keeping the pi grade symbolic.
+    """Exact value sum_n r_n / (s0 - n) of f at rational s0, keeping the pi
+    grade symbolic.  With s0 = p/q each term is r_n q / (p - n q), summed
+    in integers over the least common denominator, reduced once.
 
-    Raises PoleEvaluation on zeros of the reduced denominator.
+    Raises PoleEvaluation at a pole of f.
     """
     s0 = _as_fraction(s0)
-    d = f.den(s0)
-    if d == 0:
-        raise PoleEvaluation(f"denominator vanishes at s = {s0}")
-    return PiScaled(f.num(s0) / d, f.pi_power)
+    if s0 in f.residues:
+        raise PoleEvaluation(f"f has a pole at s = {s0}")
+    p, q = s0.numerator, s0.denominator
+    dens = [r.denominator * (p - n * q) for n, r in f.residues.items()]
+    common = math.lcm(*dens)
+    num = sum(r.numerator * q * (common // d) for r, d in zip(f.residues.values(), dens))
+    return PiScaled(Fraction(num, common), f.pi_power)
 
 
 # ---------------------------------------------------------------------------
@@ -555,67 +369,22 @@ class LaurentPi:
 
 
 # ---------------------------------------------------------------------------
-# partial fractions over distinct integer poles
+# residues, Mellin images and integer polynomials
 
 
-def _divisors_upto(n: int, bound: int) -> list[int]:
-    """Positive divisors d <= bound of n > 0, ascending.
-
-    Trial division only runs over primes that some divisor <= bound can
-    hold: once the trial prime passes the bound, whatever is left of n
-    shares no factor with such a divisor.
-    """
-    primes: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= bound:
-        while n % d == 0:
-            primes[d] = primes.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if 1 < n <= bound:
-        primes[n] = primes.get(n, 0) + 1
-    divs = [1]
-    for p, k in primes.items():
-        divs = [x * p ** i for x in divs for i in range(k + 1) if x * p ** i <= bound]
-    return sorted(divs)
+def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:
+    """Residue map of f, pole -> residue at f's grade, poles ascending."""
+    return {n: PiScaled(r, f.pi_power) for n, r in f.residues.items()}
 
 
-def _integer_roots(ints: list[int]) -> tuple[dict[int, int], int]:
-    """All integer roots (with multiplicity) of a monic integer polynomial
-    that splits over Z.
-
-    Returns (roots, remaining_degree) after deflating every integer root.
-    For a split polynomial the roots n_i satisfy sum n_i^2 = e1^2 - 2 e2,
-    read off the two top coefficients, so only divisors of the constant
-    term up to isqrt of that are tried.  A polynomial that does not split
-    may keep some integer roots undetected; its remaining degree is then
-    positive either way.
-    """
-
-    roots: dict[int, int] = {}
-    work = list(ints)
-    while len(work) > 1 and work[0] == 0:
-        roots[0] = roots.get(0, 0) + 1
-        work = work[1:]
-    if len(work) > 1:
-        e1 = -work[-2]
-        e2 = work[-3] if len(work) > 2 else 0
-        sum_sq = e1 * e1 - 2 * e2
-        bound = math.isqrt(sum_sq) if sum_sq > 0 else 0
-        for d in _divisors_upto(abs(work[0]), bound):
-            for cand in (-d, d):
-                while len(work) > 1 and _eval_int(work, cand) == 0:
-                    roots[cand] = roots.get(cand, 0) + 1
-                    work = _deflate(work, cand)
-    return roots, len(work) - 1
-
-
-def _eval_int(cs: list[int], x: int) -> int:
-    """Value of an integer polynomial (ascending coefficients) at x."""
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
+    """Ascending integer coefficients of prod (x - r) over the roots."""
+    out = [1]
+    for r in roots:
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= r * out[i + 1]
+    return out
 
 
 def _deflate(cs: list[int], x: int) -> list[int]:
@@ -630,81 +399,17 @@ def _deflate(cs: list[int], x: int) -> list[int]:
     return out
 
 
-def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
-    """Ascending integer coefficients of prod (x - r) over the roots."""
-    out = [1]
-    for r in roots:
-        out = [0] + out
-        for i in range(len(out) - 1):
-            out[i] -= r * out[i + 1]
-    return out
-
-
-def _ratfun_from_ints(pi_power: int, num: list[int], common: int, den: list[int]) -> RatFunPi:
-    """pi^pi_power * (num / common) / den by the bare constructor: the caller
-    vouches that the two are coprime and den is monic."""
-    return RatFunPi(
-        pi_power,
-        PolyQ(tuple(Fraction(c, common) for c in num)),
-        PolyQ(tuple(Fraction(c) for c in den)),
-    )
-
-
-def ratfun_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> RatFunPi:
-    """pi^pi_power * sum_n r_n / (s - n), built directly in reduced form.
-
-    The denominator is prod (s - n) over the poles with a nonzero residue,
-    in integers; the numerator is sum_n r_n prod_{m != n} (s - m) over a
-    common denominator of the residues.  Distinct simple poles with nonzero
-    residues leave the two coprime (the numerator at n is r_n prod (n - m)),
-    and the denominator is monic, so this is the form RatFunPi.make would
-    reach through gcds.  Zero residues are dropped.
-    """
-    poles = {n: _as_fraction(r) for n, r in residues.items() if r != 0}
-    if not poles:
-        return RatFunPi.zero()
-    den = int_poly_from_roots(poles)
-    common = math.lcm(*(r.denominator for r in poles.values()))
-    num = [0] * (len(den) - 1)
-    for n, r in poles.items():
+def _cleared(f: RatFunPi, ell: list[int], common: int) -> list[int]:
+    """common * L * f as ascending integer coefficients, trailing zeros
+    trimmed, for L = prod (s - n) over a superset of f's poles and common a
+    multiple of its residues' denominators: sum_n common r_n L / (s - n)."""
+    out = [0] * (len(ell) - 1)
+    for n, r in f.residues.items():
         scale = r.numerator * (common // r.denominator)
-        for i, c in enumerate(_deflate(den, n)):
-            num[i] += scale * c
-    return _ratfun_from_ints(pi_power, num, common, den)
-
-
-def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:
-    """Residue map of a proper rational function whose denominator splits
-    into distinct monic linear factors with integer roots.
-
-    Residues come from the cover-up rule: res at n is num(n) divided by the
-    product of (n - m) over the other poles m.  Everything stays exact.
-    """
-    num, den = f.num, f.den
-    if num.is_zero:
-        return {}
-    if num.degree >= den.degree:
-        raise ImproperFraction(
-            f"numerator degree {num.degree} >= denominator degree {den.degree}"
-        )
-    if any(c.denominator != 1 for c in den.coeffs):
-        # a monic product of (s - n) with integer n has integer coefficients
-        raise NonIntegerPole("denominator has non-integer coefficients")
-    ints = [int(c) for c in den.coeffs]
-    roots, leftover = _integer_roots(ints)
-    if leftover > 0:
-        raise NonIntegerPole("denominator has a non-integer root")
-    if any(m > 1 for m in roots.values()):
-        bad = [r for r, m in roots.items() if m > 1]
-        raise RepeatedPole(f"repeated pole(s) at {bad}")
-    out: dict[int, PiScaled] = {}
-    poles = sorted(roots)
-    for n in poles:
-        denom = Fraction(1)
-        for m in poles:
-            if m != n:
-                denom *= n - m
-        out[n] = PiScaled(num(Fraction(n)) / denom, f.pi_power)
+        for i, c in enumerate(_deflate(ell, n)):
+            out[i] += scale * c
+    while out and out[-1] == 0:
+        out.pop()
     return out
 
 
@@ -715,9 +420,7 @@ def laurent_mellin(g: LaurentPi) -> RatFunPi:
     LaurentPi admits even e only.  Grade is preserved.  The zero polynomial
     maps to zero.
     """
-    if g.is_zero:
-        return RatFunPi.zero()
-    return ratfun_from_poles(g.pi_power, {e // 2: c / 2 for e, c in g.coeffs.items()})
+    return RatFunPi(g.pi_power, {e // 2: c / 2 for e, c in g.coeffs.items()})
 
 
 def laurent_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> LaurentPi:
@@ -731,20 +434,21 @@ def laurent_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> Laure
 
 
 def ratfun_to_lists(f: RatFunPi) -> dict:
-    """JSON-friendly form: pi grade plus ascending num/den coefficient lists."""
+    """JSON-friendly reduced form: the pi grade and ascending num/den
+    coefficient lists.
+
+    den is prod (s - n) over the poles, in integers, and num is
+    sum_n r_n prod_{m != n} (s - m) over a common denominator of the
+    residues.  They are coprime, as num(n) = r_n prod (n - m) is nonzero,
+    and den is monic; zero is num [], den [1].
+    """
+    den = int_poly_from_roots(f.residues)
+    common = math.lcm(*(r.denominator for r in f.residues.values()))
     return {
         "pi_power": f.pi_power,
-        "num": [str(c) for c in f.num.coeffs],
-        "den": [str(c) for c in f.den.coeffs],
+        "num": [str(Fraction(c, common)) for c in _cleared(f, den, common)],
+        "den": [str(c) for c in den],
     }
-
-
-def ratfun_from_lists(data: Mapping) -> RatFunPi:
-    return RatFunPi.from_coeffs(
-        int(data["pi_power"]),
-        (Fraction(c) for c in data["num"]),
-        (Fraction(c) for c in data["den"]),
-    )
 
 
 def laurent_to_map(g: LaurentPi) -> dict:

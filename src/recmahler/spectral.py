@@ -23,8 +23,9 @@ The central objects, all exact:
   exactly; h_product builds that product, and factorization_checks proves
   the identity from I = C^T D C (below), with no elimination.  I's side
   comes from the integrand and C^T D C's from coeff_c, so the check proves
-  the c_n(J) expansion too.  det_ratfun (elimination) and det_double_sum
-  (a permutation sum) are the references it is tested against.
+  the c_n(J) expansion too.  det_ratfun (fraction-free elimination over
+  Z[s]) is the reference it is tested against, and det_double_sum (a
+  permutation sum) a scalar oracle for the determinant's values.
 
 * rho(N, n): residue of the Mellin transform hhat_N = H_N/(2s) at s = n,
 
@@ -39,7 +40,8 @@ The central objects, all exact:
   (the xi^{+2n} term owns the pole at s = +n under this package's Mellin
   convention; swapping the pair is detectable for odd N and breaks the
   transform identity).  hn proves that identity by mellin_residue_miss,
-  residue by residue, with h_hat's taken from its factors, not from rho.
+  residue by residue, with h_hat's residues taken by cover-up from its
+  factors, not from rho.
 
 * volume_exact(N) = 2*pi*hhat_N(N+1) = 2^N pi^{N+1} (N+1)^N / (2N+1)!:
   the volume of the star body {mu_rec <= 1} in C^{N+1}.
@@ -59,9 +61,10 @@ I psi = d_N (omega_N . psi) omega_N.  omega_psi_check gets psi from
 integer back substitution, compares the identity as residue maps, and
 runs factorization_checks too.
 
-Every rational function compared here is proper with simple poles, so two
-of them are equal exactly when their residue maps are: comparing the maps
-is already a proof, and no evaluation at sample points is needed.
+Every rational function here is a sum of simple integer poles, RatFunPi,
+stored as its residue map: two are equal exactly when their maps are, so
+comparing the maps is already a proof, and no evaluation at sample points
+is needed.
 """
 
 from __future__ import annotations
@@ -72,15 +75,20 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from .errors import DimensionTooLarge, EvaluationOverflow, IndexOutOfRange
+from .errors import (
+    DimensionTooLarge,
+    EvaluationOverflow,
+    GradeMismatch,
+    IndexOutOfRange,
+    RepeatedPole,
+)
 from .exact import (
     LaurentPi,
     PiScaled,
     RatFunPi,
-    _ratfun_from_ints,
+    _cleared,
     int_poly_from_roots,
     laurent_from_poles,
-    ratfun_from_poles,
 )
 
 
@@ -102,7 +110,7 @@ def d_term(n: int) -> RatFunPi:
     """Diagonal kernel factor 2*pi*s / (s^2 - n^2), n >= 1."""
     if n < 1:
         raise IndexOutOfRange("d_n needs n >= 1")
-    return ratfun_from_poles(1, _d_residues(n))
+    return RatFunPi(1, _d_residues(n))
 
 
 def c_matrix(n_order: int) -> tuple[tuple[int, ...], ...]:
@@ -138,7 +146,7 @@ def i_entry(j: int, k: int) -> RatFunPi:
     if j < 1 or k < 1:
         raise IndexOutOfRange("moment indices start at 1")
     a, b = _odd_binomial_terms(j), _odd_binomial_terms(k)
-    return ratfun_from_poles(1, _moment_map(a, b))
+    return RatFunPi(1, _moment_map(a, b))
 
 
 def i_residue_maps(n_order: int) -> list[list[dict[int, int]]]:
@@ -158,7 +166,7 @@ def i_residue_maps(n_order: int) -> list[list[dict[int, int]]]:
 def i_matrix(n_order: int) -> tuple[tuple[RatFunPi, ...], ...]:
     """The moment matrix, i_matrix(N)[J-1][K-1] = i_entry(J, K)."""
     return tuple(
-        tuple(ratfun_from_poles(1, res) for res in row)
+        tuple(RatFunPi(1, res) for res in row)
         for row in i_residue_maps(n_order)
     )
 
@@ -254,38 +262,105 @@ def _first_ctdc_miss(c, entries) -> tuple[int, int] | None:
 
 
 def det_ratfun(matrix) -> RatFunPi:
-    """Exact determinant of a matrix of RatFunPi by pivoted elimination.
+    """Exact determinant of an N x N matrix of RatFunPi of one grade g, at
+    grade N g.
 
-    Deterministic partial pivoting: the first row with a nonzero entry in
-    the current column is the pivot.  Intermediate entries are ratios of
-    minors, which for the structured matrices here stay small after
-    reduction, so plain field elimination is fast.
+    With L = prod (s - n) over the union of the entries' poles and D a
+    common denominator of their residues, D L M has integer polynomial
+    entries, and fraction-free elimination over Z[s] (_bareiss) gives
+    det(D L M) = D^N L^N det M.  Dividing by L^(N-1) leaves P = D^N L det M
+    when det M has simple poles only; a remainder means a repeated pole,
+    which raises RepeatedPole.  det M vanishes at infinity, as every entry
+    does, so deg P < deg L, and its residue at n is the cover-up value
+    P(n) / (D^N prod_{m != n} (n - m)).  Entries of different grades raise
+    GradeMismatch.
     """
     rows = _as_entry_rows(matrix)
-    n = len(rows)
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not rows[r][col].is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return RatFunPi.zero()
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+    size = len(rows)
+    entries = [f for row in rows for f in row if not f.is_zero]
+    grades = {f.pi_power for f in entries}
+    if len(grades) > 1:
+        raise GradeMismatch(f"determinant of entries at pi grades {sorted(grades)}")
+    poles = sorted({n for f in entries for n in f.residues})
+    ell = int_poly_from_roots(poles)
+    common = math.lcm(*(r.denominator for f in entries for r in f.residues.values()))
+    det = _bareiss([[_cleared(f, ell, common) for f in row] for row in rows])
+    if not det:
+        return RatFunPi.zero()
+    for _ in range(size - 1):
+        det, rem = _poly_divmod(det, ell)
+        if rem:
+            raise RepeatedPole("the determinant has a repeated pole")
+    scale = common ** size
+    return RatFunPi(size * grades.pop(), {
+        n: Fraction(
+            sum(c * n ** i for i, c in enumerate(det)),
+            scale * math.prod(n - m for m in poles if m != n),
+        )
+        for n in poles
+    })
+
+
+def _bareiss(m: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[s] by fraction-free (Bareiss)
+    elimination: after step k every entry below and right of the pivot is
+    a (k + 1)-minor, so the division by the previous pivot is exact."""
+    m = [list(row) for row in m]
+    size, sign, prev = len(m), 1, [1]
+    for k in range(size - 1):
+        pivot = next((i for i in range(k, size) if m[i][k]), None)
+        if pivot is None:
+            return []
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col].is_zero:
-                continue
-            factor = rows[r][col] / pivot
-            for c2 in range(col, n):
-                rows[r][c2] = rows[r][c2] - factor * rows[col][c2]
-    det = RatFunPi.one()
-    for idx in range(n):
-        det = det * rows[idx][idx]
-    return det * Fraction(sign)
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                cross = _poly_sub(_poly_mul(m[i][j], m[k][k]), _poly_mul(m[i][k], m[k][j]))
+                m[i][j], rem = _poly_divmod(cross, prev)
+                assert not rem
+        prev = m[k][k]
+    return [sign * c for c in m[-1][-1]]
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r and deg r < deg b over Z, for a b whose
+    leading coefficient divides every step: a monic b, or Bareiss's exact
+    divisions."""
+    rem, top = list(a), len(b) - 1
+    quo = [0] * (len(a) - top)
+    for k in range(len(quo) - 1, -1, -1):
+        c, miss = divmod(rem[k + top], b[-1])
+        assert not miss
+        quo[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    return _trim(quo), _trim(rem[:top])
 
 
 def det_double_sum(matrix):
@@ -319,11 +394,12 @@ def det_double_sum(matrix):
     return total / math.factorial(n)
 
 
-def _power_over_pairs(n_order: int, power: int) -> RatFunPi:
-    """pi^N (2s)^power / prod_{n=1}^{N} (s^2 - n^2) in reduced form.
+def _power_over_pairs(n_order: int, power: int) -> dict:
+    """pi^N (2s)^power / prod_{n=1}^{N} (s^2 - n^2) as ratfun_to_lists'
+    num/den lists, built from the factors.
 
     The numerator's only root, 0, is no pole and the denominator is monic,
-    so the integer product needs no gcd.
+    so this is the reduced form with no gcd.
     """
     if n_order < 1:
         raise IndexOutOfRange("order must be at least 1")
@@ -331,17 +407,32 @@ def _power_over_pairs(n_order: int, power: int) -> RatFunPi:
     den = [0] * (2 * len(in_sq) - 1)
     den[::2] = in_sq
     num = [0] * power + [2 ** power]
-    return _ratfun_from_ints(n_order, num, 1, den)
+    return {"pi_power": n_order, "num": [str(c) for c in num], "den": [str(c) for c in den]}
+
+
+def _cover_up(n_order: int, power: int) -> RatFunPi:
+    """pi^N (2s)^power / prod_{n=1}^{N} (s^2 - n^2), power <= N, by cover-up
+    from its factors: (+-2n)^power / (+-2n prod_{m != n} (n^2 - m^2)) at
+    s = +-n, so the residue at -n is (-1)^(power-1) times that at n."""
+    if n_order < 1:
+        raise IndexOutOfRange("order must be at least 1")
+    sign = 1 if power % 2 else -1
+    residues = {}
+    for n in range(1, n_order + 1):
+        others = math.prod(n * n - m * m for m in range(1, n_order + 1) if m != n)
+        residues[n] = r = Fraction((2 * n) ** power, 2 * n * others)
+        residues[-n] = sign * r
+    return RatFunPi(n_order, residues)
 
 
 def h_product(n_order: int) -> RatFunPi:
     """prod_{n=1}^{N} 2*pi*s/(s^2 - n^2): the closed determinant value."""
-    return _power_over_pairs(n_order, n_order)
+    return _cover_up(n_order, n_order)
 
 
 def h_hat(n_order: int) -> RatFunPi:
     """Mellin transform of the distribution: H_N(s)/(2s)."""
-    return _power_over_pairs(n_order, n_order - 1)
+    return _cover_up(n_order, n_order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +469,15 @@ def h_closed(n_order: int) -> LaurentPi:
 
 def mellin_residue_miss(h: LaurentPi, n_order: int) -> int | None:
     """First pole s where the Mellin image of h differs from h_hat(N), or
-    None.  Both are proper with simple poles, so equal residues mean equal
+    None.  Both are sums of simple poles, so equal residues mean equal
     functions.  h's residue at s = e/2 is half its xi^e coefficient, at h's
-    grade; h_hat's comes by cover-up from its factors, pi^N (2n)^(N-1) /
-    (2n prod_{m != n} (n^2 - m^2)) at s = n, (-1)^N times that at s = -n.
-    Poles go 1, -1, ..., N, -N, then the least other pole of h."""
+    grade; h_hat's come from its factors, not from rho.  Poles go 1, -1,
+    ..., N, -N, then the least other pole of h."""
     res = {e // 2: t / 2 for e, t in h.terms.items()}
+    want = h_hat(n_order)
     for n in range(1, n_order + 1):
-        others = math.prod(n * n - m * m for m in range(1, n_order + 1) if m != n)
-        r = PiScaled(Fraction((2 * n) ** (n_order - 1), 2 * n * others), n_order)
-        for s, want in ((n, r), (-n, r * (-1) ** n_order)):
-            if res.pop(s, PiScaled(0)) != want:
+        for s in (n, -n):
+            if res.pop(s, PiScaled(0)) != PiScaled(want.residues[s], want.pi_power):
                 return s
     return min(res, default=None)
 

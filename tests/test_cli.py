@@ -19,7 +19,7 @@ import recmahler
 from recmahler import cli, exact, measure, montecarlo, spectral
 from recmahler.cli import N_CAPS, run
 from recmahler.errors import NoConvergence
-from recmahler.exact import parse_pi_scaled, ratfun_from_lists
+from recmahler.exact import PiScaled, parse_pi_scaled, ratfun_eval_exact, ratfun_to_lists
 from recmahler.spectral import (
     det_double_sum,
     det_ratfun,
@@ -182,8 +182,7 @@ def test_hn_report_round_trips_exact_values(capsys):
     coeffs = rep["exact_results"]["h_coeffs"]
     parsed = {int(e): parse_pi_scaled(s) for e, s in coeffs.items()}
     assert parsed == h_closed(1).terms
-    mellin = ratfun_from_lists(rep["exact_results"]["mellin_transform"])
-    assert mellin == h_hat(1)
+    assert rep["exact_results"]["mellin_transform"] == ratfun_to_lists(h_hat(1))
     assert rep["numeric_results"]["h_value"] == pytest.approx(
         h_eval(1, 1.5), rel=1e-14
     )
@@ -289,9 +288,7 @@ def test_verify_det(capsys):
     assert code == 0
     assert rep["checks"][0]["name"] == "determinant-identity"
     assert rep["checks"][0]["status"] == "pass"
-    det = ratfun_from_lists(rep["exact_results"]["determinant"])
-    prod = ratfun_from_lists(rep["exact_results"]["product_form"])
-    assert det == prod
+    assert rep["exact_results"]["determinant"] == rep["exact_results"]["product_form"]
 
 
 def _tamper_entry(monkeypatch, j, k, change):
@@ -316,7 +313,7 @@ def _assert_verify_det_names(capsys, entry):
     assert check["status"] == "fail"
     assert check["detail"] == f"factorization: I != C^T D C at (J, K) = {entry}"
     assert rep["exact_results"]["determinant"] is None
-    assert ratfun_from_lists(rep["exact_results"]["product_form"]) == spectral.h_product(4)
+    assert rep["exact_results"]["product_form"] == ratfun_to_lists(spectral.h_product(4))
 
 
 def test_verify_det_fails_on_a_scaled_entry(capsys, monkeypatch):
@@ -359,17 +356,28 @@ def test_a_wrong_expansion_of_c_fails_verify_det_and_rank_one(capsys, monkeypatc
 def _verify_det_determinant(capsys, n):
     code, rep, _ = invoke_json(capsys, ["verify-det", "--N", str(n)])
     assert code == 0
-    return ratfun_from_lists(rep["exact_results"]["determinant"])
+    return rep["exact_results"]["determinant"]
 
 
 def test_verify_det_determinant_equals_det_ratfun_to_order_10(capsys):
     for n in range(1, 11):
-        assert _verify_det_determinant(capsys, n) == det_ratfun(i_matrix(n))
+        assert _verify_det_determinant(capsys, n) == ratfun_to_lists(det_ratfun(i_matrix(n)))
 
 
 def test_verify_det_determinant_equals_double_sum_to_order_4(capsys):
+    """The printed num/den lists and the double sum over the entries' values
+    agree at 2N^2 - N + 1 half-integers.  Times L^N, L = prod (s - n) over
+    the 2N poles, both are polynomials of degree <= 2N^2 - N, so this is a
+    proof."""
     for n in range(1, 5):
-        assert _verify_det_determinant(capsys, n) == det_double_sum(i_matrix(n))
+        det = _verify_det_determinant(capsys, n)
+        im = i_matrix(n)
+        for k in range(2 * n * n - n + 1):
+            s0 = F(2 * k + 1, 2)
+            num = sum(F(c) * s0 ** i for i, c in enumerate(det["num"]))
+            den = sum(F(c) * s0 ** i for i, c in enumerate(det["den"]))
+            values = [[ratfun_eval_exact(e, s0) for e in row] for row in im]
+            assert det_double_sum(values) == PiScaled(num / den, det["pi_power"])
 
 
 def test_verify_entries(capsys):

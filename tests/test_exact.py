@@ -1,5 +1,5 @@
-"""Exact layer: graded scalars, rational functions, Laurent forms, partial
-fractions, and the Mellin term table.
+"""Exact layer: graded scalars, sums of simple poles, Laurent forms,
+partial fractions, and the Mellin term table.
 
 Frozen values in here were computed by hand from the defining formulas
 before the implementation existed; they are oracles, not snapshots.
@@ -15,18 +15,15 @@ from hypothesis import strategies as st
 from recmahler.errors import (
     DivisionByZero,
     GradeMismatch,
-    ImproperFraction,
     NonIntegerPole,
     OddExponent,
     PoleEvaluation,
-    RepeatedPole,
     ZeroArgument,
 )
 from recmahler.exact import (
     _PI_128,
     LaurentPi,
     PiScaled,
-    PolyQ,
     RatFunPi,
     laurent_from_map,
     laurent_from_poles,
@@ -34,11 +31,7 @@ from recmahler.exact import (
     laurent_to_map,
     parse_pi_scaled,
     partial_fractions,
-    poly_gcd,
-    ratfun_eval,
     ratfun_eval_exact,
-    ratfun_from_lists,
-    ratfun_from_poles,
     ratfun_to_lists,
 )
 
@@ -48,8 +41,11 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
-def ratq(num, den):
-    return RatFunPi.from_coeffs(0, num, den)
+def lists_value(data, s0):
+    """The value at s0 of ratfun_to_lists' num/den lists, pi kept as a grade."""
+    num = sum(F(c) * s0 ** i for i, c in enumerate(data["num"]))
+    den = sum(F(c) * s0 ** i for i, c in enumerate(data["den"]))
+    return PiScaled(num / den, data["pi_power"])
 
 
 # ---------------------------------------------------------------------------
@@ -108,172 +104,120 @@ def test_pi_scaled_product_grades_add(c1, g1, c2, g2):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q
-
-
-def test_polyq_trims_and_degree():
-    p = PolyQ((F(1), F(2), F(0), F(0)))
-    assert p.coeffs == (F(1), F(2))
-    assert p.degree == 1
-    assert PolyQ((F(0),)).is_zero
-    assert PolyQ(()).is_zero
-
-
-def test_polyq_divmod_exact():
-    p = PolyQ((F(-1), F(0), F(0), F(1)))  # s^3 - 1
-    d = PolyQ((F(-1), F(1)))  # s - 1
-    q, r = p.divmod(d)
-    assert q == PolyQ((F(1), F(1), F(1)))
-    assert r.is_zero
-    q2, r2 = d.divmod(p)
-    assert q2.is_zero and r2 == d
-
-
-def test_polyq_divmod_property_seeded():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(50):
-        a = PolyQ(tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))))
-        b = PolyQ(tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))))
-        if b.is_zero:
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
-
-
-def test_polyq_subs_neg_and_eval():
-    p = PolyQ((F(1), F(2), F(3), F(4)))
-    assert p.subs_neg() == PolyQ((F(1), F(-2), F(3), F(-4)))
-    assert p(F(2)) == 1 + 4 + 12 + 32
-
-
-def test_poly_gcd_common_factor():
-    common = PolyQ((F(-1), F(0), F(1)))  # s^2 - 1
-    a = common * PolyQ((F(2), F(1)))
-    b = common * PolyQ((F(3), F(1)))
-    assert poly_gcd(a, b) == common
-    assert poly_gcd(a, PolyQ()) == a.monic()
-
-
-# ---------------------------------------------------------------------------
-# rational functions over Q
+# rational functions: sums of simple integer poles
 
 
 def test_ratfunq_reduces_and_normalizes():
-    f = ratq((-1, 0, 1), (-2, 2))  # (s^2-1)/(2s-2)
-    assert f.den.leading == 1
-    assert f == ratq((F(1, 2), F(1, 2)), (1,))  # (s+1)/2
-    assert ratfun_eval_exact(f, 3) == PiScaled(F(2))
-    assert poly_gcd(f.num, f.den).degree == 0
+    """A pole whose residue cancels leaves the map; residues become
+    Fractions and the poles are sorted."""
+    f = RatFunPi(0, {2: 3, -1: F(1, 2), 5: 0})
+    assert f.residues == {-1: F(1, 2), 2: F(3)}
+    assert list(f.residues) == [-1, 2]
+    assert all(type(r) is Fraction for r in f.residues.values())
+    assert f + RatFunPi(0, {2: -3}) == RatFunPi(0, {-1: F(1, 2)})
+    assert ratfun_eval_exact(f, 3) == PiScaled(F(1, 8) + 3)
 
 
 def test_ratfunq_zero_canonical():
-    z = RatFunPi.from_coeffs(3, (0,), (3, 1))
-    assert z == RatFunPi.zero()
-    assert z.is_zero and z.pi_power == 0
+    for z in (RatFunPi(3, {}), RatFunPi(3, {4: 0, -1: F(0)})):
+        assert z == RatFunPi.zero()
+        assert z.is_zero and z.pi_power == 0
 
 
 def test_ratfunq_eval_pole():
-    f = ratq((1,), (-1, 1))
+    f = RatFunPi(0, {1: 1})
     with pytest.raises(PoleEvaluation):
         ratfun_eval_exact(f, 1)
+    with pytest.raises(PoleEvaluation):
+        ratfun_eval_exact(f, F(1))
     assert ratfun_eval_exact(f, 2) == PiScaled(F(1))
+    # a cancelled pole is no pole
+    assert ratfun_eval_exact(RatFunPi(0, {1: 0, 2: 1}), 1) == PiScaled(F(-1))
 
 
 def test_ratfunq_division_by_zero():
     with pytest.raises(DivisionByZero):
-        ratq((1,), (1,)) / RatFunPi.zero()
+        RatFunPi(1, {1: 1}) / 0
     with pytest.raises(DivisionByZero):
-        RatFunPi.make(0, PolyQ((F(1),)), PolyQ())
+        RatFunPi(1, {1: 1}) / F(0)
 
 
 def test_ratfunpi_zero_keeps_grade_zero():
     """Zero is canonical at grade 0 however it is reached: negation and
     scalar division keep it there."""
-    z = RatFunPi.make(5, PolyQ(), PolyQ((F(2), F(1))))
+    z = RatFunPi(5, {2: F(0)})
     assert z == RatFunPi.zero() and z.pi_power == 0
-    d1 = RatFunPi.from_coeffs(1, (0, 2), (-1, 0, 1))
+    d1 = RatFunPi(1, {1: 1, -1: 1})
     for w in [-z, z / 3, z / F(-2, 7), -(d1 - d1), (d1 - d1) / 5, d1 * 0]:
         assert w == RatFunPi.zero() and w.pi_power == 0
 
 
 def test_ratfun_pi_divides_by_a_scalar():
-    """Division by an int or a Fraction scales the numerator and keeps the
-    grade and the reduced, monic form."""
-    f = RatFunPi.from_coeffs(2, (0, 4), (-4, 0, 2))
-    assert f / 3 == RatFunPi.from_coeffs(2, (0, F(2, 3)), (-2, 0, 1))
-    assert f / F(-1, 2) == f * -2
-    assert (f / F(2, 5)).den.leading == 1
+    """Division by an int or a Fraction scales every residue and keeps the
+    grade."""
+    f = RatFunPi(2, {1: 2, -1: 2})
+    assert f / 3 == RatFunPi(2, {1: F(2, 3), -1: F(2, 3)})
+    assert f / F(-1, 2) == f * -2 == -2 * f
     with pytest.raises(DivisionByZero):
         f / 0
 
 
-small_polys = st.lists(rationals, min_size=0, max_size=3).map(
-    lambda cs: PolyQ(tuple(cs))
-)
-nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+pole_maps = st.dictionaries(keys=st.integers(-8, 8), values=rationals, max_size=4)
 # one grade for all, so that every sum below is defined
-ratfuns = st.builds(
-    lambda n, d: RatFunPi.make(1, n, d), small_polys, nonzero_polys
-)
+ratfuns = pole_maps.map(lambda m: RatFunPi(1, m))
 
 
 @settings(max_examples=60, deadline=None)
-@given(ratfuns, ratfuns, ratfuns)
-def test_ratfunq_field_identities(a, b, c):
+@given(ratfuns, ratfuns, ratfuns, rationals, nonzero_rationals)
+def test_ratfunq_field_identities(a, b, c, p, q):
+    """Pole sums of one grade form a vector space over Q."""
     assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
     assert a + b == b + a
-    if not b.is_zero:
-        assert (a / b) * b == a
+    assert a - b == a + (-b)
+    assert (a + b) * p == a * p + b * p
+    assert (a / q) * q == a
+    assert a - a == RatFunPi.zero()
 
 
 @settings(max_examples=60, deadline=None)
-@given(ratfuns, nonzero_polys)
-def test_ratfunq_make_is_idempotent_and_gcd_free(f, g):
-    again = RatFunPi.make(f.pi_power, f.num, f.den)
-    assert again == f
-    inflated = RatFunPi.make(f.pi_power, f.num * g, f.den * g)
-    assert inflated == f
-    if not f.is_zero:
-        assert poly_gcd(f.num, f.den).degree == 0
-    assert f.den.leading == 1
-
-
-# ---------------------------------------------------------------------------
-# graded rational functions
+@given(ratfuns, st.integers(9, 20))
+def test_ratfunq_make_is_idempotent_and_gcd_free(f, pole):
+    """Rebuilding from the fields gives the same value, and a new pole with
+    zero residue, the analogue of a common factor of num and den, is no
+    pole."""
+    assert RatFunPi(f.pi_power, f.residues) == f
+    assert RatFunPi(f.pi_power, {**f.residues, pole: 0}) == f
+    assert all(r != 0 for r in f.residues.values())
 
 
 def hhat2() -> RatFunPi:
-    # 2 pi^2 s / ((s^2-1)(s^2-4)), the N = 2 transform, built by hand
-    return RatFunPi.from_coeffs(2, (0, 2), (4, 0, -5, 0, 1))
+    # 2 pi^2 s / ((s^2-1)(s^2-4)), the N = 2 transform, by hand
+    return RatFunPi(2, {1: F(-1, 3), -1: F(-1, 3), 2: F(1, 3), -2: F(1, 3)})
 
 
 def test_ratfunpi_grade_rules():
-    d1 = RatFunPi.from_coeffs(1, (0, 2), (-1, 0, 1))
-    d2 = RatFunPi.from_coeffs(1, (0, 2), (-4, 0, 1))
-    assert (d1 * d2).pi_power == 2
-    assert (d1 / d2).pi_power == 0
+    d1 = RatFunPi(1, {1: 1, -1: 1})
+    assert (d1 * F(3, 2)).pi_power == 1
+    assert (d1 / 7).pi_power == 1
     with pytest.raises(GradeMismatch):
-        d1 + RatFunPi.from_coeffs(2, (1,), (1,))
+        d1 + RatFunPi(2, {1: 1})
+    with pytest.raises(GradeMismatch):
+        d1 - RatFunPi(2, {1: 1})
     assert d1 + RatFunPi.zero() == d1
+    assert RatFunPi.zero() - d1 == -d1
     assert (d1 - d1) == RatFunPi.zero()
     assert (d1 - d1).pi_power == 0
 
 
-def test_ratfunpi_is_odd():
-    assert RatFunPi.from_coeffs(1, (0, 2), (-1, 0, 1)).is_odd()
-    assert not RatFunPi.from_coeffs(0, (1,), (-1, 1)).is_odd()
-
-
 def test_ratfun_eval_frozen():
-    d1 = RatFunPi.from_coeffs(1, (0, 2), (-1, 0, 1))
-    assert ratfun_eval(d1, 2) == pytest.approx(4 * math.pi / 3, rel=1e-15)
-    assert ratfun_eval(hhat2(), 3) == pytest.approx(3 * math.pi ** 2 / 20, rel=1e-15)
+    """The numeric value is the exact value's to_float."""
+    d1 = RatFunPi(1, {1: 1, -1: 1})
+    assert ratfun_eval_exact(d1, 2).to_float() == pytest.approx(4 * math.pi / 3, rel=1e-15)
+    assert ratfun_eval_exact(hhat2(), 3).to_float() == pytest.approx(
+        3 * math.pi ** 2 / 20, rel=1e-15
+    )
     with pytest.raises(PoleEvaluation):
-        ratfun_eval(d1, 1)
+        ratfun_eval_exact(d1, -1)
 
 
 def test_ratfun_eval_exact_frozen():
@@ -281,6 +225,7 @@ def test_ratfun_eval_exact_frozen():
     assert ratfun_eval_exact(hhat2(), F(1, 2)) == PiScaled(
         F(1) / (F(1, 4) - 1) / (F(1, 4) - 4), 2
     )
+    assert ratfun_eval_exact(RatFunPi.zero(), 5) == PiScaled(F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +233,7 @@ def test_ratfun_eval_exact_frozen():
 
 
 def test_partial_fractions_frozen_map():
-    """Cover-up residues of 2 s/((s^2-1)(s^2-4)), times pi^2."""
+    """Residues of 2 s/((s^2-1)(s^2-4)), times pi^2, poles ascending."""
     res = partial_fractions(hhat2())
     third = F(1, 3)
     assert res == {
@@ -297,27 +242,19 @@ def test_partial_fractions_frozen_map():
         2: PiScaled(third, 2),
         -2: PiScaled(third, 2),
     }
+    assert list(res) == [-2, -1, 1, 2]
 
 
 def test_partial_fractions_of_zero():
     assert partial_fractions(RatFunPi.zero()) == {}
 
 
-def test_partial_fractions_rejects_improper():
-    with pytest.raises(ImproperFraction):
-        partial_fractions(RatFunPi.from_coeffs(0, (0, 0, 1), (-1, 0, 1)))
-
-
-def test_partial_fractions_rejects_repeated_pole():
-    with pytest.raises(RepeatedPole):
-        partial_fractions(RatFunPi.from_coeffs(0, (1,), (1, -2, 1)))
-
-
 def test_partial_fractions_rejects_non_integer_pole():
-    with pytest.raises(NonIntegerPole):
-        partial_fractions(RatFunPi.from_coeffs(0, (1,), (-2, 0, 1)))
-    with pytest.raises(NonIntegerPole):
-        partial_fractions(RatFunPi.from_coeffs(0, (1,), (F(1, 2), 1)))
+    """A pole that is not an int is refused where the pole sum is built,
+    an integral Fraction too."""
+    for pole in (F(1, 2), F(3), 0.5, "1"):
+        with pytest.raises(NonIntegerPole):
+            partial_fractions(RatFunPi(0, {pole: 1}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,10 +267,11 @@ def test_partial_fractions_rejects_non_integer_pole():
     )
 )
 def test_partial_fractions_reconstruction(residues):
-    """Building sum r/(s - n) and decomposing returns the same residues."""
+    """Summing the simple fractions r/(s - n) and decomposing returns the
+    same residues."""
     f = RatFunPi.zero()
     for n, r in residues.items():
-        f = f + RatFunPi.from_coeffs(3, (r,), (-n, 1))
+        f = f + RatFunPi(3, {n: r})
     out = partial_fractions(f)
     assert out == {n: PiScaled(r, 3) for n, r in residues.items()}
 
@@ -345,23 +283,35 @@ def test_partial_fractions_reconstruction(residues):
 )
 @example(2, {0: F(3, 2), 1: F(0), -4: F(-1, 6)})
 @example(0, {0: F(0)})
-def test_ratfun_from_poles_equals_sum_of_terms(grade, residues):
-    """The direct build equals the gcd-reduced sum of its simple fractions."""
-    total = RatFunPi.zero()
-    for n, r in residues.items():
-        total = total + RatFunPi.from_coeffs(grade, (r,), (-n, 1))
-    assert ratfun_from_poles(grade, residues) == total
+def test_ratfun_to_lists_equals_sum_of_terms(grade, residues):
+    """The num/den lists take the value of the sum of the simple fractions
+    at half-integers, off the poles.  Times L = prod (s - n) over the at
+    most six poles, both are polynomials of degree below 6, so six points
+    make this a proof."""
+    f = RatFunPi(grade, residues)
+    data = ratfun_to_lists(f)
+    assert data["den"][-1] == "1" and len(data["num"]) < len(data["den"])
+    for k in range(6):
+        s0 = F(2 * k - 5, 2)
+        assert lists_value(data, s0) == ratfun_eval_exact(f, s0)
 
 
 def test_partial_fractions_huge_integer_poles():
-    """Poles at +-10^15, and at 10^15 alone, where the root bound read off
-    the top coefficients is exactly the root."""
+    """Poles at +-10^15, and at 10^15 alone."""
     big = 10 ** 15
-    res = partial_fractions(RatFunPi.from_coeffs(0, (1,), (-big * big, 0, 1)))
+    res = partial_fractions(RatFunPi(0, {big: F(1, 2 * big), -big: F(-1, 2 * big)}))
     assert res == {-big: PiScaled(F(-1, 2 * big)), big: PiScaled(F(1, 2 * big))}
-    assert partial_fractions(RatFunPi.from_coeffs(1, (3,), (-big, 1))) == {
-        big: PiScaled(F(3), 1)
-    }
+    assert partial_fractions(RatFunPi(1, {big: 3})) == {big: PiScaled(F(3), 1)}
+
+
+def test_partial_fractions_of_a_large_prime_pole_pair():
+    """1/(s^2 - p^2) with p = 10^12 + 39, a prime: the residues come back
+    from the map, where factoring the constant term p^2 of the denominator
+    ran past 10 s."""
+    p = 10 ** 12 + 39
+    f = RatFunPi(0, {p: F(1, 2 * p), -p: F(-1, 2 * p)})
+    assert partial_fractions(f) == {-p: PiScaled(F(-1, 2 * p)), p: PiScaled(F(1, 2 * p))}
+    assert ratfun_to_lists(f) == {"pi_power": 0, "num": ["1"], "den": [str(-p * p), "0", "1"]}
 
 
 def test_partial_fractions_match_near_pole_limit():
@@ -431,20 +381,16 @@ def test_laurent_addition_grade_mismatch():
 
 def test_mellin_term_rule_frozen():
     # constant: 2 -> 1/s
-    assert laurent_mellin(LaurentPi(0, {0: F(2)})) == RatFunPi.from_coeffs(
-        0, (1,), (0, 1)
-    )
+    assert laurent_mellin(LaurentPi(0, {0: F(2)})) == RatFunPi(0, {0: 1})
     # xi^4 alone: 3 -> (3/2)/(s - 2)
-    assert laurent_mellin(LaurentPi(0, {4: F(3)})) == RatFunPi.from_coeffs(
-        0, (F(3, 2),), (-2, 1)
-    )
+    assert laurent_mellin(LaurentPi(0, {4: F(3)})) == RatFunPi(0, {2: F(3, 2)})
     # xi^2 - xi^-2 at grade 1 -> pi/(s^2 - 1)
-    assert laurent_mellin(LaurentPi(1, {2: F(1), -2: F(-1)})) == RatFunPi.from_coeffs(
-        1, (1,), (-1, 0, 1)
+    assert laurent_mellin(LaurentPi(1, {2: F(1), -2: F(-1)})) == RatFunPi(
+        1, {1: F(1, 2), -1: F(-1, 2)}
     )
-    # xi^2 + xi^-2 -> 2s/(s^2 - 1) hidden in one addition
-    assert laurent_mellin(LaurentPi(0, {2: F(1), -2: F(1)})) == RatFunPi.from_coeffs(
-        0, (0, 1), (-1, 0, 1)
+    # xi^2 + xi^-2 -> 2s/(s^2 - 1) / 2
+    assert laurent_mellin(LaurentPi(0, {2: F(1), -2: F(1)})) == RatFunPi(
+        0, {1: F(1, 2), -1: F(1, 2)}
     )
     assert laurent_mellin(LaurentPi.zero()) == RatFunPi.zero()
 
@@ -475,10 +421,19 @@ def test_mellin_is_linear(g1, g2, q):
 
 
 def test_ratfun_lists_round_trip():
-    for f in [hhat2(), RatFunPi.zero(), RatFunPi.from_coeffs(-1, (F(1, 3), 2), (5, 1))]:
+    """The lists are the reduced num/den form, strings throughout, and
+    evaluate back to the function."""
+    assert ratfun_to_lists(hhat2()) == {
+        "pi_power": 2,
+        "num": ["0", "2"],
+        "den": ["4", "0", "-5", "0", "1"],
+    }
+    assert ratfun_to_lists(RatFunPi.zero()) == {"pi_power": 0, "num": [], "den": ["1"]}
+    for f in [hhat2(), RatFunPi(-1, {-5: F(7, 3)}), RatFunPi(1, {0: F(1, 2), 3: F(-2, 5)})]:
         data = ratfun_to_lists(f)
-        assert ratfun_from_lists(data) == f
         assert all(isinstance(c, str) for c in data["num"] + data["den"])
+        for s0 in (F(1, 2), F(-7, 3), F(11)):
+            assert lists_value(data, s0) == ratfun_eval_exact(f, s0)
 
 
 def test_laurent_map_round_trip():

@@ -15,7 +15,13 @@ import mpmath
 import pytest
 
 from recmahler import spectral
-from recmahler.errors import DimensionTooLarge, EvaluationOverflow, IndexOutOfRange
+from recmahler.errors import (
+    DimensionTooLarge,
+    EvaluationOverflow,
+    GradeMismatch,
+    IndexOutOfRange,
+    RepeatedPole,
+)
 from recmahler.exact import (
     _PI_128,
     LaurentPi,
@@ -25,7 +31,7 @@ from recmahler.exact import (
     laurent_mellin,
     partial_fractions,
     ratfun_eval_exact,
-    ratfun_from_poles,
+    ratfun_to_lists,
 )
 from recmahler.spectral import (
     RankOneReport,
@@ -81,7 +87,12 @@ def test_coeff_c_range_errors():
 
 def test_d_term_frozen_and_range():
     for n in range(1, 10):
-        assert d_term(n) == RatFunPi.from_coeffs(1, (0, 2), (-n * n, 0, 1))
+        assert d_term(n) == RatFunPi(1, {n: 1, -n: 1})
+        assert ratfun_to_lists(d_term(n)) == {
+            "pi_power": 1,
+            "num": ["0", "2"],
+            "den": [str(-n * n), "0", "1"],
+        }
     # 2 pi s / s^2 has no simple pole at 0 of the diagonal's form
     with pytest.raises(IndexOutOfRange):
         d_term(0)
@@ -125,9 +136,13 @@ def test_i_entry_frozen():
     assert i_entry(1, 2).is_zero
     # the corrected bracket makes this +1 * d_term(1), not -3 * d_term(1)
     assert i_entry(1, 3) == d_term(1)
-    assert i_entry(3, 3) == RatFunPi.from_coeffs(
-        1, (0, -20, 0, 4), (9, 0, -10, 0, 1)
-    )
+    # pi (2s/(s^2 - 1) + 2s/(s^2 - 9)) = 4 pi s (s^2 - 5)/((s^2 - 1)(s^2 - 9))
+    assert i_entry(3, 3) == RatFunPi(1, {1: 1, -1: 1, 3: 1, -3: 1})
+    assert ratfun_to_lists(i_entry(3, 3)) == {
+        "pi_power": 1,
+        "num": ["0", "-20", "0", "4"],
+        "den": ["9", "0", "-10", "0", "1"],
+    }
 
 
 def test_i_entry_range_errors():
@@ -151,8 +166,9 @@ def test_i_matrix_validates():
                     assert e.is_zero
                     continue
                 assert not e.is_zero and e.pi_power == 1
-                assert e.num.coeffs[0] == 0
-                assert e.is_odd()
+                assert ratfun_eval_exact(e, 0).is_zero
+                # f(-s) = -f(s): the residues at n and -n agree
+                assert all(e.residues[-n] == r for n, r in e.residues.items())
 
 
 def test_entry_mellin_link():
@@ -268,7 +284,7 @@ def test_i_residue_maps_build_i_matrix():
     for n in range(1, 7):
         maps = i_residue_maps(n)
         assert tuple(
-            tuple(ratfun_from_poles(1, m) for m in row) for row in maps
+            tuple(RatFunPi(1, m) for m in row) for row in maps
         ) == i_matrix(n)
     with pytest.raises(IndexOutOfRange):
         i_residue_maps(0)
@@ -325,41 +341,78 @@ def test_det_double_sum_on_fractions():
     assert det_double_sum(m3) == F(2) * (F(1) - F(0)) - 0 + F(3)
 
 
+def _points_off_the_poles(count: int) -> list[Fraction]:
+    return [F(2 * k + 1, 2) for k in range(count)]
+
+
 def test_det_double_sum_matches_elimination():
+    """det_double_sum of the entries' values equals det_ratfun's value at
+    2N^2 half-integers.  Times L^N, L = prod (s - n) over the 2N poles, the
+    true determinant is a polynomial of degree <= N (2N - 1) and det_ratfun's
+    pole sum one of degree < 2N^2, so 2N^2 points prove them equal."""
     for n in range(2, 4):
         im = i_matrix(n)
-        assert det_double_sum(im) == det_ratfun(im)
+        det = det_ratfun(im)
+        for s0 in _points_off_the_poles(2 * n * n):
+            values = [[ratfun_eval_exact(e, s0) for e in row] for row in im]
+            assert det_double_sum(values) == ratfun_eval_exact(det, s0)
 
 
 def test_det_double_sum_size_cap():
-    big = [[RatFunPi.one()] * 7 for _ in range(7)]
+    big = [[F(1)] * 7 for _ in range(7)]
     with pytest.raises(DimensionTooLarge):
         det_double_sum(big)
 
 
+def test_det_ratfun_rejects_a_repeated_pole():
+    """d_1^2 has double poles at +-1, no sum of simple poles."""
+    d1 = d_term(1)
+    with pytest.raises(RepeatedPole):
+        det_ratfun([[d1, RatFunPi.zero()], [RatFunPi.zero(), d1]])
+
+
+def test_det_ratfun_rejects_mixed_grades():
+    with pytest.raises(GradeMismatch):
+        det_ratfun([[d_term(1), RatFunPi.zero()], [RatFunPi.zero(), RatFunPi(2, {2: 1})]])
+
+
+def test_det_ratfun_of_scaled_residues():
+    """Residues with denominators, at poles no other entry has: the
+    determinant 3 f g of [[f, 0], [g, 3 g]] is 1/((s - 1)(s + 3)) times
+    pi^2, residues 1/4 at 1 and -1/4 at -3."""
+    f = RatFunPi(1, {1: F(1, 2)})
+    g = RatFunPi(1, {-3: F(2, 3)})
+    m = [[f, RatFunPi.zero()], [g, g * 3]]
+    assert det_ratfun(m) == RatFunPi(2, {1: F(1, 4), -3: F(-1, 4)})
+
+
 def test_h_product_frozen_and_parity():
-    assert h_product(2) == RatFunPi.from_coeffs(2, (0, 0, 4), (4, 0, -5, 0, 1))
+    # (2s)^2 pi^2 / ((s^2 - 1)(s^2 - 4)) by cover-up: 4 / (2 (1 - 4)) at s = 1
+    assert h_product(2) == RatFunPi(2, {1: F(-2, 3), -1: F(2, 3), 2: F(4, 3), -2: F(-4, 3)})
     for n in range(1, 7):
-        # f(-s) = (-1)^N f(s), as num(-s) den(s) = (-1)^N num(s) den(-s)
+        # f(-s) = (-1)^N f(s)
         f = h_product(n)
-        flipped = f.num.subs_neg() * f.den
-        assert flipped == f.num * f.den.subs_neg() * (-1) ** n
+        for s0 in _points_off_the_poles(2 * n + 1):
+            assert ratfun_eval_exact(f, -s0) == ratfun_eval_exact(f, s0) * (-1) ** n
 
 
 def test_trusted_builds_are_reduced_and_monic():
-    """The builders that skip the gcd (_ratfun_from_ints, ratfun_from_poles)
-    give the form RatFunPi.make reaches through it."""
-    built = [f(n) for f in (h_hat, h_product) for n in range(1, 41)]
-    built += [i_entry(j, k) for j in range(1, 13) for k in range(1, 13)]
-    built += [d_term(n) for n in range(1, 41)]
-    for f in built:
-        assert RatFunPi.make(f.pi_power, f.num, f.den) == f
-        assert f.den.leading == 1
+    """The lists hn and verify-det print, built from the factors of h_hat
+    and h_product with no gcd, are ratfun_to_lists' reduced, monic form of
+    the residue sums."""
+    for n in range(1, 41):
+        assert spectral._power_over_pairs(n, n - 1) == ratfun_to_lists(h_hat(n))
+        assert spectral._power_over_pairs(n, n) == ratfun_to_lists(h_product(n))
 
 
 def test_h_hat_frozen():
-    assert h_hat(2) == RatFunPi.from_coeffs(2, (0, 2), (4, 0, -5, 0, 1))
-    assert h_hat(1) == RatFunPi.from_coeffs(1, (1,), (-1, 0, 1))
+    assert h_hat(2) == RatFunPi(2, {1: F(-1, 3), -1: F(-1, 3), 2: F(1, 3), -2: F(1, 3)})
+    assert h_hat(1) == RatFunPi(1, {1: F(1, 2), -1: F(-1, 2)})
+    assert ratfun_to_lists(h_hat(2)) == {
+        "pi_power": 2,
+        "num": ["0", "2"],
+        "den": ["4", "0", "-5", "0", "1"],
+    }
 
 
 # ---------------------------------------------------------------------------
