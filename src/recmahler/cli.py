@@ -45,10 +45,10 @@ from .errors import ComputationFailed, RecMahlerError
 from .exact import (
     PiScaled,
     laurent_to_map,
+    num_den_lists,
     ratfun_eval_exact,
 )
 from .spectral import (
-    _power_over_pairs,
     c_matrix,
     factorization_checks,
     h_closed,
@@ -60,6 +60,7 @@ from .spectral import (
     i_residue_maps,
     mellin_residue_miss,
     omega_psi_check,
+    power_over_pairs,
     volume_exact,
 )
 
@@ -170,13 +171,14 @@ def _cmd_hn(args) -> int:
     miss = mellin_residue_miss(h, n)
     at_one = h.value_at_one()
     fit = "equals H_N(s)/(2s), exact" if miss is None else f"differs from H_N(s)/(2s) at s = {miss}"
+    transform = None if miss is not None else num_den_lists(n, *power_over_pairs(n, n - 1))
     numeric = {"coeffs": {str(e): t.to_float() for e, t in h.terms.items()}}
     if args.xi is not None:
         numeric["h_value"] = h_values(n, [args.xi], h)[0]
     return _emit(args, {
         "exact_results": {
             "h_coeffs": {str(e): str(t) for e, t in h.terms.items()},
-            "mellin_transform": None if miss is not None else _power_over_pairs(n, n - 1),
+            "mellin_transform": transform,
         },
         "numeric_results": numeric,
         "checks": [
@@ -220,7 +222,7 @@ def _cmd_verify_det(args) -> int:
         for name, ok, detail in factorization_checks(c_matrix(n), i_residue_maps(n))
         if not ok
     ]
-    prod = _power_over_pairs(n, n)
+    prod = num_den_lists(n, *power_over_pairs(n, n))
     return _emit(args, {
         "exact_results": {"determinant": None if failed else prod, "product_form": prod},
         "checks": [

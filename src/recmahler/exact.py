@@ -1,7 +1,8 @@
 """Exact arithmetic, one type per concept: rationals graded by powers of pi
 (PiScaled), sums of simple integer poles with one pi grade (RatFunPi),
-even-exponent Laurent polynomials with one pi grade (LaurentPi), and the
-Laurent-to-Mellin term table between the last two.
+even-exponent Laurent polynomials with one pi grade (LaurentPi), the
+Laurent-to-Mellin term table between the last two, and the integer
+polynomials that pole sums clear to.
 
 pi is never evaluated here; it rides along as an integer grade on otherwise
 rational data.  Sums therefore only make sense between values of the same
@@ -245,7 +246,10 @@ def ratfun_eval_exact(f: RatFunPi, s0) -> PiScaled:
         raise PoleEvaluation(f"f has a pole at s = {s0}")
     p, q = s0.numerator, s0.denominator
     dens = [r.denominator * (p - n * q) for n, r in f.residues.items()]
-    common = math.lcm(*dens)
+    common = 1
+    for d in dens:
+        if common % d:  # most d divide the running lcm: a division, no gcd
+            common = math.lcm(common, d)
     num = sum(r.numerator * q * (common // d) for r, d in zip(f.residues.values(), dens))
     return PiScaled(Fraction(num, common), f.pi_power)
 
@@ -369,48 +373,12 @@ class LaurentPi:
 
 
 # ---------------------------------------------------------------------------
-# residues, Mellin images and integer polynomials
+# residues and Mellin images
 
 
 def partial_fractions(f: RatFunPi) -> dict[int, PiScaled]:
     """Residue map of f, pole -> residue at f's grade, poles ascending."""
     return {n: PiScaled(r, f.pi_power) for n, r in f.residues.items()}
-
-
-def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
-    """Ascending integer coefficients of prod (x - r) over the roots."""
-    out = [1]
-    for r in roots:
-        out = [0] + out
-        for i in range(len(out) - 1):
-            out[i] -= r * out[i + 1]
-    return out
-
-
-def _deflate(cs: list[int], x: int) -> list[int]:
-    """Synthetic division of an integer polynomial by (s - x), where x is
-    a root, so the division is exact."""
-    out = [0] * (len(cs) - 1)
-    carry = cs[-1]
-    for i in range(len(cs) - 2, -1, -1):
-        out[i] = carry
-        carry = cs[i] + carry * x
-    assert carry == 0
-    return out
-
-
-def _cleared(f: RatFunPi, ell: list[int], common: int) -> list[int]:
-    """common * L * f as ascending integer coefficients, trailing zeros
-    trimmed, for L = prod (s - n) over a superset of f's poles and common a
-    multiple of its residues' denominators: sum_n common r_n L / (s - n)."""
-    out = [0] * (len(ell) - 1)
-    for n, r in f.residues.items():
-        scale = r.numerator * (common // r.denominator)
-        for i, c in enumerate(_deflate(ell, n)):
-            out[i] += scale * c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def laurent_mellin(g: LaurentPi) -> RatFunPi:
@@ -430,12 +398,85 @@ def laurent_from_poles(pi_power: int, residues: Mapping[int, Fraction]) -> Laure
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials: ascending coefficient lists, zero is []
+
+
+def int_poly_from_roots(roots: Iterable[int]) -> list[int]:
+    """Ascending integer coefficients of prod (x - r) over the roots."""
+    out = [1]
+    for r in roots:
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= r * out[i + 1]
+    return out
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r and deg r < deg b over Z, for a b whose
+    leading coefficient divides every step: a monic b, or Bareiss's exact
+    divisions."""
+    rem, top = list(a), len(b) - 1
+    quo = [0] * (len(a) - top)
+    for k in range(len(quo) - 1, -1, -1):
+        c, miss = divmod(rem[k + top], b[-1])
+        assert not miss
+        quo[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    return _trim(quo), _trim(rem[:top])
+
+
+def cleared_poly(f: RatFunPi, ell: list[int], common: int) -> list[int]:
+    """common * L * f as ascending integer coefficients, for L = prod (s - n)
+    over a superset of f's poles and common a multiple of its residues'
+    denominators: sum_n common r_n L / (s - n)."""
+    out = [0] * (len(ell) - 1)
+    for n, r in f.residues.items():
+        scale = r.numerator * (common // r.denominator)
+        quo, rem = poly_divmod(ell, [-n, 1])
+        assert not rem
+        for i, c in enumerate(quo):
+            out[i] += scale * c
+    return _trim(out)
+
+
+# ---------------------------------------------------------------------------
 # serialization helpers shared with the CLI
 
 
+def num_den_lists(pi_power: int, num: Iterable, den: Iterable) -> dict:
+    """JSON-friendly num/den form: the pi grade and ascending numerator and
+    denominator coefficient lists, as strings."""
+    return {"pi_power": pi_power, "num": list(map(str, num)), "den": list(map(str, den))}
+
+
 def ratfun_to_lists(f: RatFunPi) -> dict:
-    """JSON-friendly reduced form: the pi grade and ascending num/den
-    coefficient lists.
+    """num_den_lists of f's reduced form.
 
     den is prod (s - n) over the poles, in integers, and num is
     sum_n r_n prod_{m != n} (s - m) over a common denominator of the
@@ -444,11 +485,8 @@ def ratfun_to_lists(f: RatFunPi) -> dict:
     """
     den = int_poly_from_roots(f.residues)
     common = math.lcm(*(r.denominator for r in f.residues.values()))
-    return {
-        "pi_power": f.pi_power,
-        "num": [str(Fraction(c, common)) for c in _cleared(f, den, common)],
-        "den": [str(c) for c in den],
-    }
+    num = [Fraction(c, common) for c in cleared_poly(f, den, common)]
+    return num_den_lists(f.pi_power, num, den)
 
 
 def laurent_to_map(g: LaurentPi) -> dict:

@@ -70,9 +70,10 @@ is needed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Sequence
 
 from .errors import (
@@ -86,9 +87,12 @@ from .exact import (
     LaurentPi,
     PiScaled,
     RatFunPi,
-    _cleared,
+    cleared_poly,
     int_poly_from_roots,
     laurent_from_poles,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
 )
 
 
@@ -284,11 +288,11 @@ def det_ratfun(matrix) -> RatFunPi:
     poles = sorted({n for f in entries for n in f.residues})
     ell = int_poly_from_roots(poles)
     common = math.lcm(*(r.denominator for f in entries for r in f.residues.values()))
-    det = _bareiss([[_cleared(f, ell, common) for f in row] for row in rows])
+    det = _bareiss([[cleared_poly(f, ell, common) for f in row] for row in rows])
     if not det:
         return RatFunPi.zero()
     for _ in range(size - 1):
-        det, rem = _poly_divmod(det, ell)
+        det, rem = poly_divmod(det, ell)
         if rem:
             raise RepeatedPole("the determinant has a repeated pole")
     scale = common ** size
@@ -316,51 +320,11 @@ def _bareiss(m: list[list[list[int]]]) -> list[int]:
             sign = -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                cross = _poly_sub(_poly_mul(m[i][j], m[k][k]), _poly_mul(m[i][k], m[k][j]))
-                m[i][j], rem = _poly_divmod(cross, prev)
+                cross = poly_sub(poly_mul(m[i][j], m[k][k]), poly_mul(m[i][k], m[k][j]))
+                m[i][j], rem = poly_divmod(cross, prev)
                 assert not rem
         prev = m[k][k]
     return [sign * c for c in m[-1][-1]]
-
-
-def _trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with a = q b + r and deg r < deg b over Z, for a b whose
-    leading coefficient divides every step: a monic b, or Bareiss's exact
-    divisions."""
-    rem, top = list(a), len(b) - 1
-    quo = [0] * (len(a) - top)
-    for k in range(len(quo) - 1, -1, -1):
-        c, miss = divmod(rem[k + top], b[-1])
-        assert not miss
-        quo[k] = c
-        if c:
-            for j, y in enumerate(b):
-                rem[k + j] -= c * y
-    return _trim(quo), _trim(rem[:top])
 
 
 def det_double_sum(matrix):
@@ -394,9 +358,9 @@ def det_double_sum(matrix):
     return total / math.factorial(n)
 
 
-def _power_over_pairs(n_order: int, power: int) -> dict:
-    """pi^N (2s)^power / prod_{n=1}^{N} (s^2 - n^2) as ratfun_to_lists'
-    num/den lists, built from the factors.
+def power_over_pairs(n_order: int, power: int) -> tuple[list[int], list[int]]:
+    """Ascending integer num/den lists of pi^N (2s)^power / prod_{n=1}^{N}
+    (s^2 - n^2), pi^N aside, built from the factors.
 
     The numerator's only root, 0, is no pole and the denominator is monic,
     so this is the reduced form with no gcd.
@@ -406,21 +370,23 @@ def _power_over_pairs(n_order: int, power: int) -> dict:
     in_sq = int_poly_from_roots(n * n for n in range(1, n_order + 1))
     den = [0] * (2 * len(in_sq) - 1)
     den[::2] = in_sq
-    num = [0] * power + [2 ** power]
-    return {"pi_power": n_order, "num": [str(c) for c in num], "den": [str(c) for c in den]}
+    return [0] * power + [2 ** power], den
 
 
 def _cover_up(n_order: int, power: int) -> RatFunPi:
     """pi^N (2s)^power / prod_{n=1}^{N} (s^2 - n^2), power <= N, by cover-up
-    from its factors: (+-2n)^power / (+-2n prod_{m != n} (n^2 - m^2)) at
-    s = +-n, so the residue at -n is (-1)^(power-1) times that at n."""
+    from its factors: (+-2n)^power / (+-2n prod_{m != n} (n - m)(n + m)) at
+    s = +-n, so the residue at -n is (-1)^(power-1) times that at n.  Both
+    products run over consecutive integers: one factorial table serves all n."""
     if n_order < 1:
         raise IndexOutOfRange("order must be at least 1")
+    fact = list(accumulate(range(1, 2 * n_order + 1), operator.mul, initial=1))
     sign = 1 if power % 2 else -1
     residues = {}
     for n in range(1, n_order + 1):
-        others = math.prod(n * n - m * m for m in range(1, n_order + 1) if m != n)
-        residues[n] = r = Fraction((2 * n) ** power, 2 * n * others)
+        minus = (-1) ** (n_order - n) * fact[n - 1] * fact[n_order - n]  # prod (n - m)
+        plus = fact[n_order + n] // (fact[n] * 2 * n)  # prod (n + m)
+        residues[n] = r = Fraction((2 * n) ** power, 2 * n * minus * plus)
         residues[-n] = sign * r
     return RatFunPi(n_order, residues)
 

@@ -31,6 +31,9 @@ from recmahler.exact import (
     laurent_to_map,
     parse_pi_scaled,
     partial_fractions,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
     ratfun_eval_exact,
     ratfun_to_lists,
 )
@@ -414,6 +417,39 @@ def test_laurent_from_poles_inverts_mellin(g):
 def test_mellin_is_linear(g1, g2, q):
     assert laurent_mellin(g1 + g2) == laurent_mellin(g1) + laurent_mellin(g2)
     assert laurent_mellin(g1 * q) == laurent_mellin(g1) * q
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials (the test names keep the polyq prefix of the rational
+# polynomial type these lists replaced)
+
+
+def test_polyq_trims_and_degree():
+    """Ascending lists, trailing zeros trimmed, and zero is []."""
+    assert poly_sub([1, 2, 5, 7], [0, 0, 5, 7]) == [1, 2]
+    assert poly_sub([3], [3]) == []
+    assert poly_mul([1, 2], []) == []
+    assert poly_mul([-1, 1], [1, 1]) == [-1, 0, 1]
+
+
+def test_polyq_divmod_exact():
+    q, r = poly_divmod([-1, 0, 0, 1], [-1, 1])  # (s^3 - 1) / (s - 1)
+    assert (q, r) == ([1, 1, 1], [])
+    assert poly_divmod([-1, 1], [-1, 0, 0, 1]) == ([], [-1, 1])
+
+
+def test_polyq_divmod_property_seeded():
+    """a = q b + r with deg r < deg b, for divisors with a unit leading
+    coefficient, where every step divides exactly over Z."""
+    import random
+
+    rng = random.Random(7)
+    for _ in range(50):
+        a = [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))]
+        b = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))] + [rng.choice((1, -1))]
+        q, r = poly_divmod(a, b)
+        assert poly_sub(poly_sub(a, r), poly_mul(q, b)) == []
+        assert len(r) < len(b)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from recmahler.exact import (
     RatFunPi,
     laurent_from_poles,
     laurent_mellin,
+    num_den_lists,
     partial_fractions,
     ratfun_eval_exact,
     ratfun_to_lists,
@@ -53,6 +54,7 @@ from recmahler.spectral import (
     i_residue_maps,
     mellin_residue_miss,
     omega_psi_check,
+    power_over_pairs,
     rho,
     volume_exact,
 )
@@ -401,8 +403,8 @@ def test_trusted_builds_are_reduced_and_monic():
     and h_product with no gcd, are ratfun_to_lists' reduced, monic form of
     the residue sums."""
     for n in range(1, 41):
-        assert spectral._power_over_pairs(n, n - 1) == ratfun_to_lists(h_hat(n))
-        assert spectral._power_over_pairs(n, n) == ratfun_to_lists(h_product(n))
+        assert num_den_lists(n, *power_over_pairs(n, n - 1)) == ratfun_to_lists(h_hat(n))
+        assert num_den_lists(n, *power_over_pairs(n, n)) == ratfun_to_lists(h_product(n))
 
 
 def test_h_hat_frozen():
