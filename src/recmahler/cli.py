@@ -400,9 +400,9 @@ class _Usage(Exception):
 
 # Largest order N each subcommand accepts, so that every accepted N
 # finishes within about a second on 2 cores (mc at 10^4 samples, table on
-# its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.51 s at N = 500
-# and 0.70 s at N = 550, volume 0.17 s at N = 500); volume's value
-# overflows from N = 618.  verify-det takes 0.51 s and 132 MB peak RSS at
+# its default grid, 0.5 s at N = 200; hn --xi 1.5 takes 0.48 s at N = 500
+# and 0.70 s at N = 550, volume 0.10 s at N = 500); volume's value
+# overflows from N = 618.  verify-det takes 0.52 s and 132 MB peak RSS at
 # N = 250, rank-one 0.44 s and 73 MB at N = 200 (0.77 s at verify-det
 # N = 280, 0.76 s at rank-one N = 240), all in-process; the N(N + 1)/2
 # residue maps set the memory.
