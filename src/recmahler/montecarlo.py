@@ -55,14 +55,24 @@ rows, the stages keep:
     1    52%                 58%          (moduli stage only)
     2    24%, then 11%       36%, then 16%
 
-A chunk is drawn, screened and measured in row blocks of _BLOCK = 4096.
-For a whole chunk the root kernel's temporaries take a megabyte per complex
-column: every fresh page costs a page fault, and the process keeps its
-largest size.  A block's temporaries stay in cache and are reused.  Each
-block's w is drawn for every row, the dropped ones too, so the stream does
-not depend on the screen.  The rows a chunk keeps reach the kernel _BLOCK at a time, so one
-N = 2 chunk makes about 2 calls instead of 16.  The kernel works row by
-row and the tallies are integers, so blocks change no bit of an estimate.
+A chunk is drawn, screened and measured in row blocks of _BLOCK = 4096,
+and no array spans the chunk.  A whole-chunk array takes a megabyte per
+complex column: every fresh page costs a page fault, and the process keeps
+its largest size.  A block's arrays stay in cache and are reused.  Each
+block's u comes from the chunk's generator, and its w from a copy of it
+advanced to where u drawn whole would end (_sample_disks), so the points
+keep the bytes of u and w drawn whole.  w is drawn for every row, the
+dropped ones too, so the stream does not depend on the screen.  The rows
+the screen keeps gather in one (_BLOCK, N + 1) batch, whose leading column
+is filled once in hn mode, and the kernel measures the batch each time it
+fills and once more at the chunk's end.  So its batches are the kept rows
+of the whole chunk cut every _BLOCK rows, and one N = 2 chunk makes about
+2 calls instead of 16.  The kernel works row by row and the tallies are
+integers, so blocks change no bit of an estimate.  A chunk holds about
+five arrays of _BLOCK rows of N + 1 complex entries at its peak: one
+mc_volume call of 2^16 samples peaks at 661 KB (N = 1) and 1002 KB
+(N = 2) of traced memory, against 2446 and 2345 KB when u and the kept
+rows were drawn and joined whole.
 
 Reproducibility: draws come from the Philox counter-based generator, keyed
 by the user seed with the chunk index placed in the counter's top word.
@@ -150,17 +160,26 @@ def _sample_disks(
     """count x len(radii) points uniform on each disk, in polar form, as
     (r, w) per block of _BLOCK rows; the point is _disk_points(r, w).
 
-    The moduli r = radii * sqrt(u) come from u drawn whole, then each
-    block's w is drawn in turn, which continues the stream of w drawn
-    whole, so the points have the bytes of radii * sqrt(u) * exp(2j * pi *
-    w) for u and w drawn whole, in that order.
+    Each block's u, and so its moduli r = radii * sqrt(u), is drawn from gen
+    in turn.  Its w comes from a copy of gen's Philox bit generator,
+    advanced to where u drawn whole would end: count * len(radii) // 4
+    counter steps of four doubles each, then the rest one double at a time.
+    So the points have the bytes of radii * sqrt(u) * exp(2j * pi * w) for
+    u and w drawn whole, in that order, but no draw is larger than a block.
     """
-    u = gen.random((count, radii.size))
-    np.sqrt(u, out=u)
-    u *= radii
+    size = count * radii.size
+    # Philox(key=0) is overwritten at once; this copies gen's state in half
+    # the time that copy.deepcopy(gen) takes
+    bits = np.random.Philox(key=0)
+    bits.state = gen.bit_generator.state
+    bits.advance(size // 4)
+    w_gen = np.random.Generator(bits)
+    w_gen.random(size % 4)
     for first in range(0, count, _BLOCK):
-        r = u[first : first + _BLOCK]
-        yield r, gen.random(r.shape)
+        r = gen.random((min(_BLOCK, count - first), radii.size))
+        np.sqrt(r, out=r)
+        r *= radii
+        yield r, w_gen.random(r.shape)
 
 
 def _disk_points(r: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -302,21 +321,40 @@ def _box_estimate(
             block = np.compress(_may_hit(block, lead, threshold), block, axis=0)
         return block
 
+    def batches(gen: np.random.Generator, count: int) -> Iterator[np.ndarray]:
+        # the kept rows gather in one _BLOCK-row batch, yielded each time it
+        # fills and, partly filled, at the end: the kept rows of the whole
+        # chunk, joined and cut every _BLOCK rows; the next batch overwrites
+        # the buffer, so each must be measured before the next is asked for
+        batch = np.empty((_BLOCK, radii.size + (lead is not None)), dtype=complex)
+        if lead is not None:
+            batch[:, -1] = lead
+        fill = 0
+        for r, w in _sample_disks(gen, count, radii):
+            kept = screened(r, w)
+            if fill + len(kept) < _BLOCK:
+                batch[fill : fill + len(kept), : radii.size] = kept
+                fill += len(kept)
+                continue
+            # at most _BLOCK rows, so they fill the batch at most once
+            take = _BLOCK - fill
+            batch[fill:, : radii.size] = kept[:take]
+            yield batch
+            fill = len(kept) - take
+            batch[:fill, : radii.size] = kept[take:]
+        if fill:
+            yield batch[:fill]
+
     def chunk(gen: np.random.Generator, count: int) -> tuple[int, int, int]:
-        v = np.concatenate([screened(r, w) for r, w in _sample_disks(gen, count, radii)])
-        hits = rejections = 0
-        for first in range(0, len(v), _BLOCK):
-            block = v[first : first + _BLOCK]
-            if lead is not None:
-                block = np.concatenate(
-                    [block, np.full((block.shape[0], 1), lead, dtype=complex)], axis=1
-                )
+        hits = rejections = solved = 0
+        for rows in batches(gen, count):
             # a leading coefficient of exactly 0 (probability 0) scores as a
             # rejection: the kernel reports its measure as not finite
-            meas, ok = mu_rec_batch(block, _ROOT_TOL)
+            meas, ok = mu_rec_batch(rows, _ROOT_TOL)
             hits += int(np.count_nonzero(meas <= threshold))
             rejections += int(np.count_nonzero(~ok))
-        return hits, rejections, len(v)
+            solved += len(rows)
+        return hits, rejections, solved
 
     hits, rejections, solved = _run_chunks(samples, seed, workers, chunk)
     if rejections > _REJECTION_CAP * samples:

@@ -459,6 +459,20 @@ def test_mc_rejects_workers_below_one(capsys, workers):
     assert "workers" in err
 
 
+@pytest.mark.parametrize("mode", [["volume"], ["hn", "--xi", "1.5"]])
+def test_mc_reports_the_same_estimate_on_one_and_two_workers(capsys, mode):
+    """100001 samples make a second chunk of 34465 rows, which ends in a
+    partial block."""
+    reports = []
+    for workers in ("1", "2"):
+        argv = ["mc", "--mode", *mode, "--N", "2", "--samples", "100001", "--workers", workers]
+        code, rep, _ = invoke_json(capsys, argv)
+        assert code == 0
+        assert rep["inputs"].pop("workers") == int(workers)
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
 def test_mc_requires_xi_in_hn_mode(capsys):
     code, _, err = invoke(capsys, ["mc", "--mode", "hn", "--N", "1"])
     assert code == 2

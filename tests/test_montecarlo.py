@@ -4,6 +4,7 @@ error accounting, and agreement with the closed forms."""
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,13 +287,53 @@ def test_blocked_estimates_equal_the_whole_chunk_ones(monkeypatch, n_order, samp
 
 
 def test_blocked_draw_keeps_the_bytes_of_the_whole_draw():
-    radii = np.append(bounding_radii(2, 1.0), 1.0)
-    count = 3 * montecarlo._BLOCK + 5
-    v = _points(_chunk_generator(4, 1), count, radii)
-    gen = _chunk_generator(4, 1)
-    u = gen.random((count, radii.size))
-    w = gen.random((count, radii.size))
-    assert v.tobytes() == (radii * np.sqrt(u) * np.exp(2j * np.pi * w)).tobytes()
+    """Each block's u comes from the chunk's generator and its w from a copy
+    advanced past u drawn whole, so the counts include ones where count *
+    len(radii) is no multiple of the four doubles of a Philox counter step,
+    a whole chunk, and a last chunk of 100001 samples (34465 rows); all but
+    the whole chunk end in a partial block."""
+    vol2 = np.append(bounding_radii(2, 1.0), 1.0)
+    vol1 = np.append(bounding_radii(1, 1.0), 1.0)
+    cases = [
+        (3 * montecarlo._BLOCK + 5, vol2),
+        (100_001 - CHUNK, vol2),
+        (10_003, bounding_radii(1, 1.5)),
+        (10_001, vol1),
+        (CHUNK, bounding_radii(2, 1.5)),
+    ]
+    for count, radii in cases:
+        v = _points(_chunk_generator(4, 1), count, radii)
+        gen = _chunk_generator(4, 1)
+        u = gen.random((count, radii.size))
+        w = gen.random((count, radii.size))
+        assert v.tobytes() == (radii * np.sqrt(u) * np.exp(2j * np.pi * w)).tobytes()
+
+
+def _traced_peak(fn) -> int:
+    """The peak of the memory fn allocates, in bytes, as tracemalloc sees
+    it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_order", [1, 2])
+def test_a_chunk_holds_a_few_blocks_of_memory(n_order):
+    """A chunk draws, screens and gathers its rows a block at a time, so one
+    chunk of 2^16 samples holds a few arrays of _BLOCK rows of N + 1 complex
+    entries, not arrays of all 2^16 rows: about five at N = 1 and 2, where
+    drawing a chunk whole held 19 (N = 1) and 12 (N = 2)."""
+    mc_volume(n_order, CHUNK)  # fills the screen's caches
+    block = montecarlo._BLOCK * (n_order + 1) * np.dtype(complex).itemsize
+    assert _traced_peak(lambda: mc_volume(n_order, CHUNK)) <= 8 * block
 
 
 def test_chunks_draw_through_sample_disks(monkeypatch):
