@@ -12,11 +12,13 @@ are printed with 15 significant digits.  Reports for identical invocations
 are byte-identical: nothing in here depends on time, machine, or dict
 iteration happenstance.
 
-Only measure, mc and jacobian-test compute in floating point arrays: they
-import NumPy and the numeric layers (measure, montecarlo, symfun) when they
-run, and look their names up on those modules.  Importing this module loads
-errors, exact and spectral alone, so hn, volume, verify-det, verify-entries,
-rank-one and table run without NumPy.
+Importing this module loads errors alone.  Each handler imports the layers
+it runs when it runs, and looks their names up on those modules: measure
+and jacobian-test load NumPy and the numeric layers (measure, polynomials,
+symfun) but never exact or spectral; hn, volume, verify-det,
+verify-entries, rank-one and table load exact and spectral but never
+NumPy; mc loads both.  A usage error, or a flag above its cap, exits
+before any layer loads.
 
 Exit status: 0 when every check passed, 1 when any check failed (for
 measure: the roots do not explain the polynomial's values on the circle),
@@ -38,34 +40,8 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import ComputationFailed, RecMahlerError
-from .exact import (
-    PiScaled,
-    laurent_to_map,
-    num_den_lists,
-    ratfun_eval_exact,
-)
-from .spectral import (
-    c_matrix,
-    factorization_checks,
-    h_closed,
-    h_eval,
-    h_hat,
-    h_values,
-    hJK_closed,
-    hJK_quadrature,
-    i_residue_maps,
-    mellin_residue_miss,
-    omega_psi_check,
-    power_over_pairs,
-    volume_exact,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _fmt(value):
@@ -101,7 +77,8 @@ def _emit(args, sections: dict) -> int:
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 
 
-def _parse_coeff_vector(text: str) -> np.ndarray:
+def _parse_coeff_vector(text: str):
+    """The coefficients of a JSON array as a complex NumPy array."""
     import numpy as np
 
     data = json.loads(text)
@@ -166,15 +143,19 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_hn(args) -> int:
+    from . import exact, spectral
+
     n = args.N
-    h = h_closed(n)
-    miss = mellin_residue_miss(h, n)
+    h = spectral.h_closed(n)
+    miss = spectral.mellin_residue_miss(h, n)
     at_one = h.value_at_one()
     fit = "equals H_N(s)/(2s), exact" if miss is None else f"differs from H_N(s)/(2s) at s = {miss}"
-    transform = None if miss is not None else num_den_lists(n, *power_over_pairs(n, n - 1))
+    transform = None
+    if miss is None:
+        transform = exact.num_den_lists(n, *spectral.power_over_pairs(n, n - 1))
     numeric = {"coeffs": {str(e): t.to_float() for e, t in h.terms.items()}}
     if args.xi is not None:
-        numeric["h_value"] = h_values(n, [args.xi], h)[0]
+        numeric["h_value"] = spectral.h_values(n, [args.xi], h)[0]
     return _emit(args, {
         "exact_results": {
             "h_coeffs": {str(e): str(t) for e, t in h.terms.items()},
@@ -197,9 +178,14 @@ def _cmd_hn(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from fractions import Fraction
+
+    from . import exact, spectral
+
     n = args.N
-    vol = volume_exact(n)
-    via_mellin = ratfun_eval_exact(h_hat(n), Fraction(n + 1)) * PiScaled(Fraction(2), 1)
+    vol = spectral.volume_exact(n)
+    hat_at = exact.ratfun_eval_exact(spectral.h_hat(n), Fraction(n + 1))
+    via_mellin = hat_at * exact.PiScaled(Fraction(2), 1)
     return _emit(args, {
         "exact_results": {"volume": str(vol)},
         "numeric_results": {"volume": vol.to_float()},
@@ -216,13 +202,12 @@ def _cmd_volume(args) -> int:
 def _cmd_verify_det(args) -> int:
     """det I = prod_n d_n follows from I = C^T D C with det C = 1, so the
     report carries the product form as the determinant once both hold."""
+    from . import exact, spectral
+
     n = args.N
-    failed = [
-        f"{name}: {detail}"
-        for name, ok, detail in factorization_checks(c_matrix(n), i_residue_maps(n))
-        if not ok
-    ]
-    prod = num_den_lists(n, *power_over_pairs(n, n))
+    checks = spectral.factorization_checks(spectral.c_matrix(n), spectral.i_residue_maps(n))
+    failed = [f"{name}: {detail}" for name, ok, detail in checks if not ok]
+    prod = exact.num_den_lists(n, *spectral.power_over_pairs(n, n))
     return _emit(args, {
         "exact_results": {"determinant": None if failed else prod, "product_form": prod},
         "checks": [
@@ -237,16 +222,18 @@ def _cmd_verify_det(args) -> int:
 
 
 def _cmd_verify_entries(args) -> int:
+    from . import exact, spectral
+
     j, k = args.J, args.K
     nodes = 4 * (j + k) + 16
-    closed = hJK_closed(j, k)
+    closed = spectral.hJK_closed(j, k)
     radii = [1.0, 1.1, 2.0, 5.0]
     rows = []
     worst = 0.0
     ok = True
     for r in radii:
         cv = closed.eval(r)
-        qv = hJK_quadrature(j, k, r, nodes)
+        qv = spectral.hJK_quadrature(j, k, r, nodes)
         gap = abs(cv - qv)
         tol = 1e-10 * (1.0 + abs(cv))
         ok = ok and gap <= tol
@@ -254,7 +241,7 @@ def _cmd_verify_entries(args) -> int:
         rows.append({"r": r, "closed": cv, "quadrature": qv, "abs_gap": gap})
     return _emit(args, {
         "inputs": {"J": j, "K": k, "nodes": nodes},
-        "exact_results": {"closed_form": laurent_to_map(closed)},
+        "exact_results": {"closed_form": exact.laurent_to_map(closed)},
         "numeric_results": {"grid": rows},
         "checks": [
             _check(
@@ -267,7 +254,9 @@ def _cmd_verify_entries(args) -> int:
 
 
 def _cmd_rank_one(args) -> int:
-    rep = omega_psi_check(args.N)
+    from . import spectral
+
+    rep = spectral.omega_psi_check(args.N)
     return _emit(args, {
         "exact_results": {"psi": [str(x) for x in rep.psi]},
         "checks": [
@@ -324,19 +313,19 @@ def _cmd_jacobian_test(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    from . import montecarlo
+    from . import montecarlo, spectral
 
     if args.mode == "hn":
         if args.xi is None:
             raise _Usage("--xi is required for --mode hn")
         est = montecarlo.mc_hN(args.N, args.xi, args.samples, args.seed, args.workers)
-        target = h_eval(args.N, args.xi)
+        target = spectral.h_eval(args.N, args.xi)
         target_str = "h_N(xi) closed form"
     else:
         if args.xi is not None:
             raise ValueError("--xi is only for --mode hn: --mode volume estimates {mu <= 1}")
         est = montecarlo.mc_volume(args.N, args.samples, args.seed, args.workers)
-        target = volume_exact(args.N).to_float()
+        target = spectral.volume_exact(args.N).to_float()
         target_str = "star body volume closed form"
     z = None
     if est.std_error > 0:
@@ -376,8 +365,12 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import spectral
+
     if not args.step > 0:
         raise ValueError(f"--step must be positive, got {args.step:g}")
+    if args.step == math.inf:
+        raise ValueError(f"--step must be finite, got {args.step:g}")
     if args.stop < args.start:
         raise ValueError(f"--stop {args.stop:g} is below --start {args.start:g}")
     span = (args.stop - args.start) / args.step
@@ -387,7 +380,7 @@ def _cmd_table(args) -> int:
         raise ValueError(f"the grid has more than {TABLE_MAX_STEPS} steps")
     steps = int(round(span))
     grid = [args.start + i * args.step for i in range(steps + 1)]
-    values = h_values(args.N, grid)
+    values = spectral.h_values(args.N, grid)
     print("xi,h_N")
     for xi, h in zip(grid, values):
         print(f"{xi:.15g},{h:.15g}")

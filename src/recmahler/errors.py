@@ -71,6 +71,10 @@ class StepTooLarge(RecMahlerError):
     """Finite-difference step too coarse for the requested stencil."""
 
 
+class StepTooSmall(RecMahlerError):
+    """Finite-difference step too fine to move every coordinate of the point."""
+
+
 class IndexOutOfRange(RecMahlerError):
     """Index outside the meaningful range of a coefficient family."""
 

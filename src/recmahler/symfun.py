@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, StepTooLarge, ZeroRoot
+from .errors import IndexOutOfRange, StepTooLarge, StepTooSmall, ZeroRoot
 from .polynomials import from_roots
 
 
@@ -150,7 +150,9 @@ def numeric_jacobian(
     Coordinates are (re a_1, im a_1, re a_2, im a_2, ...), rows likewise for
     the outputs.  The step defaults to 1e-5 * min |alpha_n| and refuses to
     run above 1e-2 * min |alpha_n|, where the stencil would stray too far
-    from the base point for the quadratic error model to mean anything.
+    from the base point for the quadratic error model to mean anything, and
+    below eps * max |alpha_n|, where base +- h would round back to the base
+    point in some coordinate and the difference quotient would be 0/0.
     """
     base = np.asarray(point, dtype=complex).ravel()
     if np.any(base == 0):
@@ -160,6 +162,9 @@ def numeric_jacobian(
         h = 1e-5 * scale
     if h > 1e-2 * scale:
         raise StepTooLarge(f"step {h:.3e} exceeds 1e-2 * min|alpha| = {1e-2 * scale:.3e}")
+    floor = np.finfo(float).eps * float(np.max(np.abs(base)))
+    if h < floor:
+        raise StepTooSmall(f"step {h:.3e} is below eps * max|alpha| = {floor:.3e}")
     n = base.size
     m = np.asarray(map_fn(base), dtype=complex).ravel().size
     jac = np.empty((2 * m, 2 * n), dtype=float)

@@ -202,7 +202,6 @@ def test_hn_builds_the_closed_form_once(capsys, monkeypatch):
         calls.append(n_order)
         return h_closed(n_order)
 
-    monkeypatch.setattr(cli, "h_closed", counted)
     monkeypatch.setattr(spectral, "h_closed", counted)
     argv = ("hn", "--N", "12", "--xi", "1.5")
     code, out, _ = invoke(capsys, list(argv))
@@ -231,7 +230,6 @@ def test_hn_never_expands_the_mellin_image(capsys, monkeypatch):
         raise AssertionError("hn called laurent_mellin")
 
     monkeypatch.setattr(exact, "laurent_mellin", boom)
-    monkeypatch.setattr(cli, "laurent_mellin", boom, raising=False)
     argv = ("hn", "--N", "12", "--xi", "1.5")
     code, out, _ = invoke(capsys, list(argv))
     assert code == 0
@@ -292,7 +290,7 @@ def test_verify_det(capsys):
 
 
 def _tamper_entry(monkeypatch, j, k, change):
-    true_maps = cli.i_residue_maps
+    true_maps = spectral.i_residue_maps
 
     def tampered(n):
         maps = true_maps(n)
@@ -301,7 +299,7 @@ def _tamper_entry(monkeypatch, j, k, change):
         maps[j - 1][k - 1] = res
         return maps
 
-    monkeypatch.setattr(cli, "i_residue_maps", tampered)
+    monkeypatch.setattr(spectral, "i_residue_maps", tampered)
 
 
 def _assert_verify_det_names(capsys, entry):
@@ -515,6 +513,8 @@ def test_table_csv(capsys):
         (["--step", "1e-9"], "more than 1000000 steps"),
         (["--stop", "inf"], "more than 1000000 steps"),
         (["--stop", "nan"], "more than 1000000 steps"),
+        # an infinite step is positive, but would put NaN on the grid
+        (["--step", "inf"], "--step must be finite"),
     ],
 )
 def test_table_rejects_empty_or_endless_grids(capsys, bounds, message):
@@ -584,6 +584,7 @@ ERROR_DIGESTS = {
     ("verify-entries", "--J", "3", "--K", "216"): (2, "4b495f1c52502223ec149fb258374db8fda520852d4ae5d7e3ac07a13ee1603d"),
     ("verify-entries", "--J", "216", "--K", "216"): (2, "030cf6a3c39904919837406dc13a8a607bea9f3e68207d017454359e3a867bfb"),
     ("table", "--N", "1", "--step", "0"): (2, "0617a9f8e22cb93d1d5add660d93a0327722f7f4a0227dee2a80a25e66e37b5b"),
+    ("table", "--N", "1", "--step", "inf"): (2, "71534b81d673565e01c932bcb62169eddc96043eeaa48dd283cf421ac7a6545f"),
     ("table", "--N", "1", "--start", "3", "--stop", "1"): (2, "c89de0da473423d4a00064543f5c302948b655f13d42ac135f0888458d8b2440"),
     ("table", "--N", "1", "--step", "1e-9"): (2, "47f9497b0048dbc786b15a1147096f250985bc02ced9232875fc0b819d77e343"),
     ("table", "--N", "1", "--stop", "nan"): (2, "47f9497b0048dbc786b15a1147096f250985bc02ced9232875fc0b819d77e343"),
@@ -591,6 +592,7 @@ ERROR_DIGESTS = {
     ("mc", "--mode", "volume", "--N", "1", "--seed", "18446744073709551616"): (2, "9535a17c3dcc110d05ed76de7800b7d762a5334a61b1e8bc18f51d106df84e14"),
     ("measure", "--coeffs", "[1, 2]", "--tol", "-1"): (2, "98261cbc5b7c8bfccf4aef92a3bf51c58142a4049028821d4d5d15dd863bcc0d"),
     ("jacobian-test", "--N", "2", "--step", "0"): (2, "27f2273f1d52edf63cd6e7d41bce6ec9403a90741d962e6688deb673dfd82f9b"),
+    ("jacobian-test", "--N", "2", "--step", "1e-320"): (2, "5ef7a98ec48dbe5f678bcc866f091edee3e9863e7ca7777a8db0b4286348d0fa"),
     ("jacobian-test", "--points", "0"): (2, "ae51eb34ace06da703b8750ff646ae4961aed637e6b14c60b4ccd963b7e99222"),
     ("jacobian-test", "--N", "-1"): (2, "16b5d634311ef1257c9e0a2eb8b419f8d29d849f01a3b0b9e43035405f97bb84"),
     ("jacobian-test", "--N", "0"): (2, "23b67e40120f3afcc9c835532c48a153f3668be25c35ff7c9ea2c1ad320b3305"),
@@ -769,6 +771,9 @@ def test_measure_at_extreme_coefficient_scales(capsys, scale):
         ["jacobian-test", "--points", "0"],
         ["jacobian-test", "--seed", "-1"],
         ["mc", "--mode", "volume", "--N", "1", "--seed", str(2**64)],
+        # positive and finite, but too small to move alpha: every rel_gap
+        # would be NaN, behind NumPy warnings
+        ["jacobian-test", "--N", "2", "--step", "1e-320"],
     ],
 )
 def test_non_finite_or_out_of_range_arguments_exit_two(capsys, argv):
@@ -876,6 +881,26 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_the_cli_loads_no_layer():
+    """Each handler imports the layers it runs: building the parser loads
+    errors alone, and no exact arithmetic."""
+    done = _fresh_python(
+        "import json, sys, recmahler.cli; recmahler.cli.build_parser(); "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('recmahler', 'fractions'))))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["recmahler", "recmahler.cli", "recmahler.errors"]
+
+
+def _run_blocked(modules, argv):
+    """Run the CLI on argv in a new interpreter where importing any of the
+    modules fails."""
+    block = "".join(f"sys.modules[{m!r}] = None; " for m in modules)
+    script = f"import sys; {block}import recmahler.cli; sys.exit(recmahler.cli.run(sys.argv[1:]))"
+    return _fresh_python(script, *argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -890,15 +915,63 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 def test_exact_subcommands_run_without_numpy(capsys, argv):
     """With NumPy blocked from import, each exact subcommand prints the bytes
     it prints in-process."""
-    script = (
-        "import sys; sys.modules['numpy'] = None; import recmahler.cli; "
-        "sys.exit(recmahler.cli.run(sys.argv[1:]))"
-    )
-    done = _fresh_python(script, *argv)
+    done = _run_blocked(["numpy"], argv)
     assert done.returncode == 0, done.stderr
     code, out, _ = invoke(capsys, argv)
     assert code == 0
     assert done.stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--coeffs", "[1, 2.5, 1]"],
+        ["jacobian-test", "--N", "3", "--points", "2"],
+    ],
+)
+def test_numeric_subcommands_run_without_the_exact_layer(capsys, argv):
+    """With exact and spectral blocked from import, measure and jacobian-test
+    print the bytes they print in-process."""
+    done = _run_blocked(["recmahler.exact", "recmahler.spectral"], argv)
+    assert done.returncode == 0, done.stderr
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    assert done.stdout == out
+
+
+# every module a handler may import besides the CLI's own
+HANDLER_IMPORTS = (
+    "numpy",
+    "fractions",
+    "recmahler.exact",
+    "recmahler.spectral",
+    "recmahler.polynomials",
+    "recmahler.measure",
+    "recmahler.symfun",
+    "recmahler.montecarlo",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hn", "--N", "501"),
+        ("verify-det", "--N", "251"),
+        ("verify-entries", "--J", "216", "--K", "3"),
+        ("jacobian-test", "--N", "8"),
+        ("mc", "--mode", "volume", "--N", "3"),
+        ("jacobian-test", "--seed", "-1"),
+        ("frobnicate",),
+    ],
+)
+def test_cap_and_usage_errors_exit_before_any_layer_loads(monkeypatch, argv):
+    """With every layer blocked from import, a flag above its cap or a
+    malformed command line still exits 2 with its pinned error lines."""
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _run_blocked(HANDLER_IMPORTS, argv)
+    assert done.stdout == ""
+    digest = hashlib.sha256(done.stderr.encode()).hexdigest()
+    assert (done.returncode, digest) == ERROR_DIGESTS[argv]
 
 
 def test_unknown_command_exits_two(capsys):

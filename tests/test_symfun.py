@@ -2,12 +2,13 @@
 the root-to-coefficient map with its finite-difference oracle."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from recmahler.errors import IndexOutOfRange, StepTooLarge, ZeroRoot
+from recmahler.errors import IndexOutOfRange, StepTooLarge, StepTooSmall, ZeroRoot
 from recmahler.symfun import (
     coefficient_map,
     elem_sym,
@@ -204,3 +205,17 @@ def test_numeric_jacobian_step_guard():
         numeric_jacobian(coefficient_map, [2.0], h=0.1)
     with pytest.raises(ZeroRoot):
         numeric_jacobian(coefficient_map, [0.0])
+
+
+def test_numeric_jacobian_rejects_a_step_that_cannot_move_the_point():
+    """1e-320 is positive and finite, but 3 + 1e-320 == 3: every difference
+    quotient would be 0/0, behind NumPy warnings."""
+    alpha = [2.0, 3.0j]
+    floor = np.finfo(float).eps * 3.0
+    for h in (1e-320, 0.99 * floor):
+        with pytest.raises(StepTooSmall):
+            numeric_jacobian(coefficient_map, alpha, h=h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = numeric_jacobian(coefficient_map, alpha, h=floor)
+    assert np.all(np.isfinite(jac))
